@@ -67,10 +67,6 @@ fn hit_profile_round_trips_and_seeds_chunk_policy() {
     assert!(median > 0, "median hit position positive, got {median}");
     let policy = gr_parallel::plan::ChunkPolicy::default().with_profile(&parsed, site);
     assert_eq!(policy.expected_hit, Some(median));
-    assert_eq!(
-        policy.chunks_per_worker,
-        gr_parallel::plan::ChunkPolicy::default().chunks_per_worker
-    );
     // Unknown sites leave the hint unset.
     let absent = gr_parallel::plan::ChunkPolicy::default().with_profile(&parsed, "no-such-site");
     assert_eq!(absent.expected_hit, None);

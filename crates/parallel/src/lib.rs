@@ -21,14 +21,15 @@
 //!   objects for provably disjoint writes, and lock-protected shared
 //!   objects (used to simulate the benchmarks' "original parallel
 //!   versions"),
-//! * [`runtime`] — the recursive-bisection executor with identity-seeded
-//!   privatized accumulators, element-wise merging and dynamic histogram
-//!   growth, plus the **cancellable speculative** path for early-exit
-//!   loops: chunked execution (geometric front-ramp via
-//!   [`plan::ChunkPolicy`]) polling an [`sync::EarlyExitToken`], merged
-//!   by lowest hit with fold partials replayed up to it (sequential
-//!   semantics on every thread count), and a bounds-aware sequential
-//!   fallback for trapping speculation.
+//! * [`runtime`] — one chunk scheduler (chunk plan, worker pool, chunk
+//!   runner) with a merge chosen from the plan's slots: the ordered fold
+//!   (identity-seeded privatized accumulators, element-wise merging and
+//!   dynamic histogram growth), the two-pass block scan, and the
+//!   **cancellable speculative** lowest-hit commit for early-exit loops
+//!   (a geometric front-ramp of chunks, workers polling an
+//!   [`sync::EarlyExitToken`], fold partials replayed up to the lowest
+//!   hit — sequential semantics on every thread count — and a
+//!   bounds-aware sequential fallback for trapping speculation).
 //!
 //! # Example
 //!

@@ -121,18 +121,10 @@ pub struct SearchSlot {
     pub folds: Vec<FoldSlot>,
 }
 
-/// Chunk granularity of the speculative schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Scheduling hints of the speculative schedule. The chunk plan itself
+/// is fixed ([`crate::runtime::plan_chunks`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkPolicy {
-    /// Chunks claimed per worker: more chunks than workers, so
-    /// cancellation has someplace to bite — a worker that claims a chunk
-    /// past a known hit stops without touching it.
-    pub chunks_per_worker: usize,
-    /// Geometric front-ramp: early chunks are small (piece `k` weighs
-    /// `min(2^k, 64)`), so a hit near the front cancels nearly the whole
-    /// iteration space before the speculative tail has been touched.
-    /// Without it the space is bisected evenly.
-    pub front_ramp: bool,
     /// Expected hit position for this call site, seeded from a persisted
     /// [`gr_trace::profile::HitProfile`] (the approximate median of past
     /// hits). **Read-only this release:** the planner records and carries
@@ -141,17 +133,10 @@ pub struct ChunkPolicy {
     pub expected_hit: Option<i64>,
 }
 
-impl Default for ChunkPolicy {
-    fn default() -> ChunkPolicy {
-        ChunkPolicy { chunks_per_worker: 8, front_ramp: true, expected_hit: None }
-    }
-}
-
 impl ChunkPolicy {
     /// Seeds [`ChunkPolicy::expected_hit`] from a recorded hit-position
     /// profile for call site `site` (typically the searched function's
-    /// chunk name). Sites absent from the profile leave the hint unset;
-    /// the rest of the policy is untouched.
+    /// chunk name). Sites absent from the profile leave the hint unset.
     ///
     /// The profile records sites under their gensym-stripped name
     /// ([`gr_core::strip_gensym`] — the trailing outliner counter is not
@@ -164,7 +149,7 @@ impl ChunkPolicy {
         let expected_hit = profile
             .median_hit(site)
             .or_else(|| profile.median_hit(gr_core::strip_gensym(site)));
-        ChunkPolicy { expected_hit, ..self }
+        ChunkPolicy { expected_hit }
     }
 }
 
@@ -225,8 +210,8 @@ pub struct ReductionPlan {
     /// Total number of intrinsic arguments (`lo, hi, step, closure…,
     /// cells…`).
     pub arg_count: usize,
-    /// Chunk granularity of the speculative schedule (ignored by the
-    /// deterministic fold templates, which bisect once per thread).
+    /// Scheduling hints of the speculative schedule (unused by the
+    /// deterministic fold templates).
     pub chunking: ChunkPolicy,
 }
 

@@ -1,44 +1,55 @@
 //! The parallel reduction executor.
 //!
-//! Intercepts the `__parrun_*` intrinsic, splits the iteration space by
-//! recursive bisection (paper §4: "depending on the amount of processors in
-//! the system and the recursion depth, the function decides whether to
-//! bisect its workload recursively"), runs the chunk function on
-//! thread-private memory overlays, and merges partial results:
+//! Intercepts the `__parrun_*` intrinsic and runs it on **one scheduler**
+//! (paper §4: cut the iteration space, run the chunk function on private
+//! state, merge the partials). The scheduler has three parts:
 //!
-//! * scalar accumulators: cells seeded with the operator identity, merged
-//!   with the original initial value after the join;
-//! * histograms: private copies (optionally grown dynamically on
-//!   out-of-bounds bin indices), merged element-wise;
-//! * prefix scans: the **two-pass block scan** — a partials pass runs
-//!   every block from the identity with the output array privatized and
-//!   discarded, the runtime folds the block partials into per-block
-//!   offsets, and a replay pass re-runs each block seeded with its offset,
+//! * **the chunk plan** ([`plan_chunks`]): a deterministic plan is bisected
+//!   into one chunk per worker; an early-exit plan is cut into
+//!   `threads × 8` chunks with the geometric front-ramp of [`ramped`], so
+//!   cancellation has chunks to skip;
+//! * **one worker pool**: workers claim chunks in iteration order from a
+//!   shared counter. On an early-exit plan they also poll a shared
+//!   [`EarlyExitToken`] and stop once a strictly earlier chunk has hit.
+//!   Traps and panics are contained per chunk, and the fault-injection
+//!   seams and `runtime.*` dispatch counters live here too;
+//! * **one chunk runner**: it installs the plan's redirects on a
+//!   thread-private memory overlay, runs the chunk function over
+//!   `[start, start + len)`, and hands the private objects back in install
+//!   order.
+//!
+//! The merge step is chosen from the plan's slots:
+//!
+//! * **ordered fold** (accumulators, argmin/argmax, histograms, written
+//!   arrays): identity-seeded accumulator cells are merged with the
+//!   original value in chunk order. Argmin/argmax `(value, index)` pairs
+//!   are folded in iteration order by replaying the normalized exchange
+//!   predicate, so ties break exactly as in sequential execution.
+//!   Histograms are private copies (optionally grown on out-of-bounds
+//!   bins) merged element-wise. Disjoint-written arrays are shared without
+//!   synchronization; other written arrays are private copies, and the
+//!   copy of the last chunk is written back;
+//! * **two-pass block scan**: the pool runs twice. The partials pass runs
+//!   every block from the identity, with the output sunk and every side
+//!   effect privatized. The block partials are folded into per-block
+//!   offsets, and the replay pass re-runs each block from its offset,
 //!   writing the output through unsynchronized shared storage (the
-//!   detector guarantees strided, therefore block-disjoint, indices);
-//! * argmin/argmax pairs: per-thread `(value, index)` cells seeded with
-//!   `(identity, sentinel)`, folded in iteration order by replaying the
-//!   normalized exchange predicate — bit-equal with sequential execution,
-//!   including ties;
-//! * disjoint-written arrays: shared without synchronization;
-//! * other written arrays: private copies, with the copy of the thread
-//!   executing the last iterations written back;
-//! * **early-exit loops** (searches and speculative folds): the
-//!   cancellable speculative path — the iteration space is cut into many
-//!   chunks (evenly, or with the geometric front-ramp of
-//!   [`ramped`] when [`ChunkPolicy::front_ramp`] is set), workers claim
-//!   chunks in iteration order while polling a shared [`EarlyExitToken`],
-//!   and the merge commits the exit values of the lowest-indexed chunk
-//!   that hit and folds the speculative-fold partials of every chunk up
-//!   to it, reproducing the sequential semantics exactly. This schedule
-//!   is speculative rather than a deterministic fold: chunks past the
-//!   sequential exit point may run and be discarded, which detection
-//!   makes unobservable (the loop body is side-effect free by
-//!   construction). A speculative chunk that **traps** is discarded too;
-//!   when it cannot be proven irrelevant the executor falls back to
-//!   sequential execution instead of propagating the trap.
+//!   detector guarantees strided, therefore block-disjoint, indices). The
+//!   replay pass then merges like an ordered fold;
+//! * **lowest-hit commit** (searches and speculative folds): the merge
+//!   commits the exit values of the lowest-indexed chunk that hit and
+//!   folds the speculative-fold partials of every chunk up to it in order.
+//!   Chunks past the sequential exit point may run and be discarded,
+//!   which detection makes unobservable (the loop body is side-effect free
+//!   by construction).
 //!
-//! [`ChunkPolicy::front_ramp`]: crate::plan::ChunkPolicy
+//! Failures follow one of two policies. In a deterministic pass every
+//! chunk runs: the lowest failing chunk decides, a trap propagates (it is
+//! the trap sequential execution hits first) and a worker panic re-runs
+//! the whole range sequentially. On the speculative schedule a trapping
+//! or panicking chunk is discarded; when it cannot be proven irrelevant,
+//! the chunks completed before it are committed and the chunk function
+//! re-runs sequentially from that boundary.
 
 use crate::overlay::{OverlayMemory, SharedRaw};
 use crate::plan::{ReductionPlan, SearchSlot, WrittenPolicy, ARG_IDX_SENTINEL, SEARCH_NO_HIT};
@@ -51,6 +62,11 @@ use gr_ir::{CmpPred, Module, Type};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Chunks planned per worker on the speculative schedule: more chunks
+/// than workers, so cancellation has someplace to bite — a worker that
+/// claims a chunk past a known hit stops without touching it.
+const CHUNKS_PER_WORKER: usize = 8;
 
 /// Builds the intrinsic handler for `plan`, executing on up to `threads`
 /// OS threads.
@@ -67,6 +83,20 @@ pub fn handler<'m>(
         }
         Some(execute(module, &plan, threads, args, mem))
     })
+}
+
+/// The chunks `(start, len)` the scheduler runs for `count` iterations of
+/// `plan` on `threads` workers, in iteration order. A deterministic plan
+/// is bisected into one chunk per worker. An early-exit plan gets
+/// `threads × 8` chunks on the geometric front-ramp of [`ramped`].
+#[must_use]
+pub fn plan_chunks(plan: &ReductionPlan, count: i64, threads: usize) -> Vec<(i64, i64)> {
+    let count_cap = usize::try_from(count).unwrap_or(0).max(1);
+    if plan.search.is_some() {
+        ramped(count, (threads.max(1) * CHUNKS_PER_WORKER).min(count_cap))
+    } else {
+        bisect(count, threads.max(1).min(count_cap))
+    }
 }
 
 /// Splits `count` iterations into at most `pieces` contiguous ranges with
@@ -131,73 +161,8 @@ fn object_of(arg: RtVal) -> Result<ObjId, Trap> {
     }
 }
 
-/// A per-scan seed value handed to one piece (identity in the partials
-/// pass, the block offset in the replay pass).
-#[derive(Debug, Clone, Copy)]
-enum SeedVal {
-    /// Integer accumulator seed.
-    I(i64),
-    /// Float accumulator seed.
-    F(f64),
-}
-
-impl SeedVal {
-    fn identity(op: ReductionOp, ty: Type) -> SeedVal {
-        match ty {
-            Type::Int | Type::Bool => SeedVal::I(op.identity_int()),
-            _ => SeedVal::F(op.identity_float()),
-        }
-    }
-
-    fn into_obj(self) -> Obj {
-        match self {
-            SeedVal::I(v) => Obj::I(vec![v]),
-            SeedVal::F(v) => Obj::F(vec![v]),
-        }
-    }
-
-    fn merge(self, op: ReductionOp, partial: &Obj) -> SeedVal {
-        match self {
-            SeedVal::I(v) => {
-                let Obj::I(p) = partial else { panic!("scan cell type mismatch") };
-                SeedVal::I(op.merge_int(v, p[0]))
-            }
-            SeedVal::F(v) => {
-                let Obj::F(p) = partial else { panic!("scan cell type mismatch") };
-                SeedVal::F(op.merge_float(v, p[0]))
-            }
-        }
-    }
-}
-
-/// Everything one piece hands back to the merge step.
-struct PieceOut {
-    piece: usize,
-    cells: Vec<Obj>,
-    scan_cells: Vec<Obj>,
-    hists: Vec<Obj>,
-    arg_vals: Vec<Obj>,
-    arg_idxs: Vec<Obj>,
-    copyback: Vec<Obj>,
-}
-
-/// Why a non-speculative pass did not produce its piece results.
-enum PieceFailure {
-    /// A chunk trapped. Sequential execution over the same iterations
-    /// traps too, so the trap propagates as the pass result.
-    Trap(Trap),
-    /// A worker panicked mid-chunk. The panic was contained on the
-    /// worker; the executor degrades to a whole-range sequential re-run
-    /// ([`recover_pass_failure`]).
-    Panic {
-        /// Piece index the panic occurred in.
-        piece: usize,
-        /// Rendered panic payload.
-        detail: String,
-    },
-}
-
-/// All resolved runtime objects of one plan.
+/// All runtime objects of one plan, resolved from the intrinsic
+/// arguments, each list in slot order.
 struct PlanObjects {
     cells: Vec<ObjId>,
     hists: Vec<ObjId>,
@@ -206,222 +171,287 @@ struct PlanObjects {
     arg_vals: Vec<ObjId>,
     arg_idxs: Vec<ObjId>,
     written: Vec<ObjId>,
+    /// The hit cell (empty unless the plan is speculative).
+    hit: Vec<ObjId>,
+    exits: Vec<ObjId>,
+    folds: Vec<ObjId>,
 }
 
 impl PlanObjects {
     fn resolve(plan: &ReductionPlan, args: &[RtVal]) -> Result<PlanObjects, Trap> {
-        let get = |ix: &[usize]| -> Result<Vec<ObjId>, Trap> {
-            ix.iter().map(|&i| object_of(args[i])).collect()
+        let get = |ix: &mut dyn Iterator<Item = usize>| -> Result<Vec<ObjId>, Trap> {
+            ix.map(|i| object_of(args[i])).collect()
         };
+        let search = plan.search.iter();
         Ok(PlanObjects {
-            cells: get(&plan.accs.iter().map(|a| a.arg_index).collect::<Vec<_>>())?,
-            hists: get(&plan.hists.iter().map(|h| h.arg_index).collect::<Vec<_>>())?,
-            scan_cells: get(&plan.scans.iter().map(|s| s.cell_arg_index).collect::<Vec<_>>())?,
-            scan_outs: get(&plan.scans.iter().map(|s| s.out_arg_index).collect::<Vec<_>>())?,
-            arg_vals: get(&plan.args.iter().map(|a| a.val_arg_index).collect::<Vec<_>>())?,
-            arg_idxs: get(&plan.args.iter().map(|a| a.idx_arg_index).collect::<Vec<_>>())?,
-            written: get(&plan.written.iter().map(|w| w.arg_index).collect::<Vec<_>>())?,
+            cells: get(&mut plan.accs.iter().map(|a| a.arg_index))?,
+            hists: get(&mut plan.hists.iter().map(|h| h.arg_index))?,
+            scan_cells: get(&mut plan.scans.iter().map(|s| s.cell_arg_index))?,
+            scan_outs: get(&mut plan.scans.iter().map(|s| s.out_arg_index))?,
+            arg_vals: get(&mut plan.args.iter().map(|a| a.val_arg_index))?,
+            arg_idxs: get(&mut plan.args.iter().map(|a| a.idx_arg_index))?,
+            written: get(&mut plan.written.iter().map(|w| w.arg_index))?,
+            hit: get(&mut search.clone().map(|s| s.hit_arg_index))?,
+            exits: get(&mut search.clone().flat_map(|s| s.exits.iter().map(|e| e.arg_index)))?,
+            folds: get(&mut search.flat_map(|s| s.folds.iter().map(|f| f.arg_index)))?,
         })
     }
 }
 
-/// Runs one pass of the chunk over all pieces.
-///
-/// `scan_seeds[piece][scan]` seeds the scan cells; `scan_shared` switches
-/// the scan outputs between privatized-and-discarded (partials pass) and
-/// unsynchronized shared storage (replay pass); `written_raw` carries the
-/// shared storage for disjoint-written objects (`None` entries privatize,
-/// which the partials pass uses to keep every side effect off the base).
-#[allow(clippy::too_many_arguments)]
-fn run_pass(
+/// How the chunk runner installs one plan object in a chunk's overlay.
+enum Install {
+    /// A private copy starting from `seed`, handed back after the chunk.
+    /// With `grow` set it extends with the operator's identity on
+    /// out-of-bounds indices (the paper's histogram reallocation).
+    Private { seed: Obj, grow: Option<ReductionOp> },
+    /// Unsynchronized shared storage (block-disjoint writes).
+    Raw(Arc<SharedRaw>),
+    /// Write-only sink for outputs a later pass recomputes.
+    Sink,
+}
+
+fn private(seed: Obj) -> Install {
+    Install::Private { seed, grow: None }
+}
+
+/// The chunk runner: runs `chunk_fn` over `args` on an overlay of `base`
+/// with `installs` in place, and returns the private objects in install
+/// order.
+fn run_chunk(
     module: &Module,
-    plan: &ReductionPlan,
+    chunk_fn: &str,
     args: &[RtVal],
-    mem: &Memory,
-    pieces: &[(i64, i64)],
-    bounds: (i64, i64, i64, i64),
-    objs: &PlanObjects,
-    written_raw: &[Option<Arc<SharedRaw>>],
-    scan_seeds: &[Vec<SeedVal>],
-    scan_shared: Option<&[Arc<SharedRaw>]>,
-) -> Result<Vec<PieceOut>, PieceFailure> {
-    let (lo, hi, step, count) = bounds;
-    // The scan partials pass (privatized-and-discarded outputs) only needs
-    // each block's final running value: run the store-free value-only
-    // chunk when outlining produced one.
-    let chunk_fn: &str = if scan_shared.is_none() && !plan.scans.is_empty() {
-        plan.chunk_value_only_fn.as_deref().unwrap_or(&plan.chunk_fn)
-    } else {
-        &plan.chunk_fn
-    };
-    gr_trace::counter("runtime.passes", 1);
-    let results: Result<Vec<PieceOut>, PieceFailure> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (pi, &(start, len)) in pieces.iter().enumerate() {
-            let base: &Memory = mem;
-            let mut piece_args = args.to_vec();
-            let seeds = scan_seeds[pi].clone();
-            handles.push(scope.spawn(move || -> Result<PieceOut, PieceFailure> {
-                // Contain panics on the worker itself: a panicking chunk
-                // must never tear down the whole executor (unwinding out
-                // of a scoped thread aborts via the scope join).
-                let run = catch_unwind(AssertUnwindSafe(|| -> Result<PieceOut, Trap> {
-                    crate::fault::maybe_panic(pi);
-                    if gr_trace::enabled() {
-                        gr_trace::counter("runtime.chunk_dispatch", 1);
-                        gr_trace::instant(
-                            "runtime.chunk",
-                            vec![
-                                ("chunk", pi.into()),
-                                ("start", start.into()),
-                                ("len", len.into()),
-                            ],
-                        );
-                    }
-                    let p_lo = plan.nth_iter_value(lo, step, start);
-                    let p_hi = plan.nth_iter_value(lo, step, start + len);
-                    piece_args[0] = RtVal::I(p_lo);
-                    piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
-                    let mut overlay = OverlayMemory::new(base);
-                    for (&cell, acc) in objs.cells.iter().zip(&plan.accs) {
-                        overlay.redirect_private(
-                            cell,
-                            SeedVal::identity(acc.op, acc.ty).into_obj(),
-                            false,
-                            0,
-                            0.0,
-                        );
-                    }
-                    for (&cell, seed) in objs.scan_cells.iter().zip(&seeds) {
-                        overlay.redirect_private(cell, seed.into_obj(), false, 0, 0.0);
-                    }
-                    for (si, &out) in objs.scan_outs.iter().enumerate() {
-                        match scan_shared {
-                            Some(raws) => overlay.redirect_raw(out, Arc::clone(&raws[si])),
-                            // Partials pass: output writes are recomputed by
-                            // the replay pass; sink them (the spec proves the
-                            // loop never reads the output).
-                            None => overlay.redirect_sink(out),
-                        }
-                    }
-                    for (&vobj, slot) in objs.arg_vals.iter().zip(&plan.args) {
-                        overlay.redirect_private(
-                            vobj,
-                            SeedVal::identity(slot.op, slot.ty).into_obj(),
-                            false,
-                            0,
-                            0.0,
-                        );
-                    }
-                    for &iobj in &objs.arg_idxs {
-                        overlay.redirect_private(
-                            iobj,
-                            Obj::I(vec![ARG_IDX_SENTINEL]),
-                            false,
-                            0,
-                            0.0,
-                        );
-                    }
-                    for (&hobj, h) in objs.hists.iter().zip(&plan.hists) {
-                        let len = if h.growable { 1 } else { base.object(hobj).len() };
-                        let (fill_i, fill_f) = (h.op.identity_int(), h.op.identity_float());
-                        let seed = match h.elem {
-                            Type::Int => Obj::I(vec![fill_i; len]),
-                            _ => Obj::F(vec![fill_f; len]),
-                        };
-                        overlay.redirect_private(hobj, seed, h.growable, fill_i, fill_f);
-                    }
-                    for ((&wobj, w), raw) in objs.written.iter().zip(&plan.written).zip(written_raw)
-                    {
-                        match (w.policy, raw) {
-                            (WrittenPolicy::DisjointShared, Some(raw)) => {
-                                overlay.redirect_raw(wobj, Arc::clone(raw));
-                            }
-                            _ => {
-                                overlay.redirect_private(
-                                    wobj,
-                                    base.object(wobj).clone(),
-                                    false,
-                                    0,
-                                    0.0,
-                                );
-                            }
-                        }
-                    }
-                    let mut machine = Machine::new(module, overlay);
-                    machine.call(chunk_fn, &piece_args)?;
-                    let mut overlay = machine.mem;
-                    let take = |ov: &mut OverlayMemory<'_>, objs: &[ObjId]| -> Vec<Obj> {
-                        objs.iter().map(|&o| ov.take_private(o)).collect()
-                    };
-                    let cells = take(&mut overlay, &objs.cells);
-                    let scan_cells = take(&mut overlay, &objs.scan_cells);
-                    let hists = take(&mut overlay, &objs.hists);
-                    let arg_vals = take(&mut overlay, &objs.arg_vals);
-                    let arg_idxs = take(&mut overlay, &objs.arg_idxs);
-                    let copyback: Vec<Obj> = objs
-                        .written
-                        .iter()
-                        .zip(&plan.written)
-                        .zip(written_raw)
-                        .filter(|((_, w), raw)| {
-                            w.policy == WrittenPolicy::PrivateCopyback || raw.is_none()
-                        })
-                        .map(|((&o, _), _)| overlay.take_private(o))
-                        .collect();
-                    gr_trace::counter("runtime.chunk_complete", 1);
-                    Ok(PieceOut {
-                        piece: pi,
-                        cells,
-                        scan_cells,
-                        hists,
-                        arg_vals,
-                        arg_idxs,
-                        copyback,
-                    })
-                }));
-                match run {
-                    Ok(Ok(out)) => Ok(out),
-                    Ok(Err(trap)) => Err(PieceFailure::Trap(trap)),
-                    Err(payload) => {
-                        gr_trace::counter("runtime.chunk_panic", 1);
-                        Err(PieceFailure::Panic {
-                            piece: pi,
-                            detail: crate::fault::panic_message(&*payload),
-                        })
-                    }
-                }
-            }));
+    base: &Memory,
+    installs: Vec<(ObjId, Install)>,
+) -> Result<Vec<Obj>, Trap> {
+    let mut overlay = OverlayMemory::new(base);
+    let mut privates = Vec::new();
+    for (obj, install) in installs {
+        match install {
+            Install::Private { seed, grow } => {
+                let (fill_i, fill_f) =
+                    grow.map_or((0, 0.0), |op| (op.identity_int(), op.identity_float()));
+                overlay.redirect_private(obj, seed, grow.is_some(), fill_i, fill_f);
+                privates.push(obj);
+            }
+            Install::Raw(raw) => overlay.redirect_raw(obj, raw),
+            Install::Sink => overlay.redirect_sink(obj),
         }
-        // Workers contain their own panics; a join failure here would be a
-        // panic *outside* the containment (harness bug), not a chunk
-        // failure. Piece order makes the propagated failure deterministic:
-        // the lowest-piece failure wins, which for traps is the earliest
-        // trapping iteration — exactly the trap sequential execution hits
-        // first.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reduction worker died outside panic containment"))
-            .collect()
-    });
-    let mut results = results?;
-    results.sort_by_key(|r| r.piece);
-    Ok(results)
+    }
+    let mut machine = Machine::new(module, overlay);
+    machine.call(chunk_fn, args)?;
+    let mut overlay = machine.mem;
+    Ok(privates.into_iter().map(|o| overlay.take_private(o)).collect())
 }
 
-/// One executed chunk's outcome on the speculative schedule.
-struct ChunkOut {
-    /// Chunk index in iteration order.
-    chunk: usize,
-    /// The iterator value at the chunk's first hit, or
-    /// [`SEARCH_NO_HIT`] when it completed without breaking.
-    hit: i64,
-    /// Exit-phi cell values (taken only when the chunk hit).
-    exits: Vec<Obj>,
-    /// Speculative-fold partials (taken from every executed chunk).
-    folds: Vec<Obj>,
+/// Why a chunk produced no result.
+enum Failure {
+    /// The chunk function trapped.
+    Trap(Trap),
+    /// The worker panicked mid-chunk; the panic was contained on the
+    /// worker. Carries the rendered panic payload.
+    Panic(String),
 }
 
+/// What one run of the worker pool produced, each list sorted by chunk
+/// index.
+struct PoolOut {
+    /// Completed chunks and their private objects.
+    done: Vec<(usize, Vec<Obj>)>,
+    /// Chunks that trapped or panicked.
+    failed: Vec<(usize, Failure)>,
+}
+
+/// One intrinsic call: the plan, its arguments, its iteration bounds and
+/// its chunk plan.
+struct Call<'a> {
+    module: &'a Module,
+    plan: &'a ReductionPlan,
+    args: &'a [RtVal],
+    lo: i64,
+    hi: i64,
+    step: i64,
+    count: i64,
+    chunks: Vec<(i64, i64)>,
+    threads: usize,
+}
+
+impl Call<'_> {
+    /// The intrinsic arguments with the bounds narrowed to chunk `c`.
+    /// Interior chunks stop exactly at the next chunk's start; the final
+    /// chunk keeps the true loop bound (so `Le`/`Ge` predicates include
+    /// their endpoint).
+    fn chunk_args(&self, c: usize) -> Vec<RtVal> {
+        let (start, len) = self.chunks[c];
+        let end = start + len;
+        let mut hi = self.plan.nth_iter_value(self.lo, self.step, end);
+        if end == self.count {
+            hi = self.hi;
+        } else if matches!(self.plan.pred, CmpPred::Le | CmpPred::Ge) {
+            // Inclusive predicates stop one step before the neighbour's
+            // first iteration.
+            hi -= self.step;
+        }
+        let mut args = self.args.to_vec();
+        args[0] = RtVal::I(self.plan.nth_iter_value(self.lo, self.step, start));
+        args[1] = RtVal::I(hi);
+        args
+    }
+
+    /// The worker pool: `threads` workers claim chunks in iteration order
+    /// from a shared counter and run each through [`run_chunk`] with the
+    /// redirects `installs(chunk)`, on top of `base`.
+    ///
+    /// With a `token` the pass is speculative: workers poll it before each
+    /// claim and stop once a strictly earlier chunk has hit, and the first
+    /// private object of every chunk must be its hit cell, which a worker
+    /// offers to the token. Without one every chunk runs.
+    fn run_pool(
+        &self,
+        base: &Memory,
+        chunk_fn: &str,
+        token: Option<&EarlyExitToken>,
+        installs: &(dyn Fn(usize) -> Vec<(ObjId, Install)> + Sync),
+    ) -> PoolOut {
+        let next = AtomicUsize::new(0);
+        let workers = self.threads.min(self.chunks.len()).max(1);
+        let mut out = PoolOut { done: Vec::new(), failed: Vec::new() };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| self.work(&next, base, chunk_fn, token, installs)))
+                .collect();
+            for h in handles {
+                let w = h.join().expect("reduction worker died outside panic containment");
+                out.done.extend(w.done);
+                out.failed.extend(w.failed);
+            }
+        });
+        out.done.sort_by_key(|&(c, _)| c);
+        out.failed.sort_by_key(|&(c, _)| c);
+        out
+    }
+
+    /// One worker of [`Call::run_pool`]: claims chunks until none are left
+    /// or the token cancels the claim.
+    fn work(
+        &self,
+        next: &AtomicUsize,
+        base: &Memory,
+        chunk_fn: &str,
+        token: Option<&EarlyExitToken>,
+        installs: &(dyn Fn(usize) -> Vec<(ObjId, Install)> + Sync),
+    ) -> PoolOut {
+        let mut out = PoolOut { done: Vec::new(), failed: Vec::new() };
+        loop {
+            let c = next.fetch_add(1, Ordering::SeqCst);
+            if c >= self.chunks.len() {
+                return out;
+            }
+            if let Some(token) = token {
+                if crate::fault::abort_requested(c) {
+                    token.abort();
+                }
+                gr_trace::counter("runtime.token_polls", 1);
+                if token.cancels(c as i64) {
+                    gr_trace::counter("runtime.token_cancelled", 1);
+                    return out;
+                }
+            }
+            if gr_trace::enabled() {
+                let (start, len) = self.chunks[c];
+                gr_trace::counter("runtime.chunk_dispatch", 1);
+                gr_trace::instant(
+                    "runtime.chunk",
+                    vec![("chunk", c.into()), ("start", start.into()), ("len", len.into())],
+                );
+            }
+            let args = self.chunk_args(c);
+            // Contain panics on the worker itself: unwinding out of a
+            // scoped thread would abort the whole executor at the join.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                crate::fault::maybe_panic(c);
+                run_chunk(self.module, chunk_fn, &args, base, installs(c))
+            }));
+            match run {
+                Ok(Ok(objs)) => {
+                    if let Some(token) = token.filter(|_| hit_of(&objs) != SEARCH_NO_HIT) {
+                        gr_trace::counter("runtime.chunk_hits", 1);
+                        token.offer(c as i64);
+                    }
+                    gr_trace::counter("runtime.chunk_complete", 1);
+                    out.done.push((c, objs));
+                }
+                Ok(Err(trap)) => {
+                    // Deterministic traps propagate; only speculative ones
+                    // count as contained.
+                    if token.is_some() {
+                        gr_trace::counter("runtime.chunk_trap", 1);
+                    }
+                    out.failed.push((c, Failure::Trap(trap)));
+                }
+                Err(payload) => {
+                    gr_trace::counter("runtime.chunk_panic", 1);
+                    let detail = crate::fault::panic_message(&*payload);
+                    out.failed.push((c, Failure::Panic(detail)));
+                }
+            }
+        }
+    }
+
+    /// One deterministic pass: every chunk runs, and the lowest failing
+    /// chunk decides the outcome. On success returns, per private object
+    /// in install order, its partials in chunk order.
+    fn deterministic_pass(
+        &self,
+        base: &Memory,
+        chunk_fn: &str,
+        installs: &(dyn Fn(usize) -> Vec<(ObjId, Install)> + Sync),
+    ) -> Result<Vec<Vec<Obj>>, (usize, Failure)> {
+        gr_trace::counter("runtime.passes", 1);
+        let out = self.run_pool(base, chunk_fn, None, installs);
+        if let Some(failure) = out.failed.into_iter().next() {
+            return Err(failure);
+        }
+        let mut columns: Vec<Vec<Obj>> = Vec::new();
+        for (_, objs) in out.done {
+            columns.resize_with(objs.len(), || Vec::with_capacity(self.chunks.len()));
+            for (column, obj) in columns.iter_mut().zip(objs) {
+                column.push(obj);
+            }
+        }
+        Ok(columns)
+    }
+
+    /// Degrades a failed deterministic pass. A trap propagates: the pass
+    /// covers every iteration exactly once, so the lowest failing chunk
+    /// holds the earliest trapping iteration, the trap sequential
+    /// execution raises. A contained worker panic instead runs the chunk
+    /// function once, sequentially, over the **entire** iteration space
+    /// against a scratch copy of the live memory. Every chunk-local result
+    /// so far lived in discarded overlays, so the re-run reproduces exact
+    /// sequential semantics (including a genuine trap or panic), and the
+    /// base memory is only replaced once it succeeds.
+    fn recover(&self, mem: &mut Memory, (chunk, failure): (usize, Failure)) -> Result<(), Trap> {
+        let detail = match failure {
+            Failure::Trap(t) => return Err(t),
+            Failure::Panic(detail) => detail,
+        };
+        let function = self.plan.chunk_fn.clone();
+        GrError::WorkerPanic { function, chunk: chunk as i64, detail }.emit();
+        if gr_trace::enabled() {
+            gr_trace::counter("runtime.panic_fallbacks", 1);
+            gr_trace::instant("runtime.panic_fallback", vec![("chunk", chunk.into())]);
+        }
+        let mut machine = Machine::new(self.module, mem.clone());
+        machine.call(&self.plan.chunk_fn, self.args)?;
+        *mem = machine.mem;
+        Ok(())
+    }
+}
+
+/// Runs one intrinsic call: plans its chunks, then hands them to the merge
+/// strategy the plan's slots select — the lowest-hit commit for an
+/// early-exit plan, the ordered fold (two passes with scans) otherwise.
 fn execute(
     module: &Module,
     plan: &ReductionPlan,
@@ -429,267 +459,175 @@ fn execute(
     args: &[RtVal],
     mem: &mut Memory,
 ) -> Result<Option<RtVal>, Trap> {
-    if let Some(search) = &plan.search {
-        return execute_search(module, plan, search, threads, args, mem);
-    }
-    let lo = args[0].as_i();
-    let hi = args[1].as_i();
-    let step = args[2].as_i();
+    let (lo, hi, step) = (args[0].as_i(), args[1].as_i(), args[2].as_i());
     let count = plan.iteration_count(lo, hi, step);
     if count == 0 {
         return Ok(None);
     }
-    let pieces = bisect(count, threads.min(count.max(1) as usize));
-    let bounds = (lo, hi, step, count);
-    let objs = PlanObjects::resolve(plan, args)?;
-
-    // Shared storage for disjoint-written objects (final pass only).
-    let mut raw_shared: Vec<Option<Arc<SharedRaw>>> = Vec::new();
-    for (w, &obj) in plan.written.iter().zip(&objs.written) {
-        raw_shared.push(match w.policy {
-            WrittenPolicy::DisjointShared => {
-                Some(Arc::new(SharedRaw::new(mem.object(obj).clone())))
-            }
-            WrittenPolicy::PrivateCopyback => None,
-        });
-    }
-
-    // Initial scan seeds: the merge identity for the partials pass.
-    let identity_seeds: Vec<SeedVal> =
-        plan.scans.iter().map(|s| SeedVal::identity(s.op, s.ty)).collect();
-
-    let results = if plan.scans.is_empty() {
-        match run_pass(
-            module,
-            plan,
-            args,
-            mem,
-            &pieces,
-            bounds,
-            &objs,
-            &raw_shared,
-            &vec![identity_seeds; pieces.len()],
-            None,
-        ) {
-            Ok(r) => r,
-            Err(f) => return recover_pass_failure(module, plan, args, mem, f),
-        }
-    } else {
-        // Two-pass block scan. Pass one computes per-block partials with
-        // all side effects privatized and discarded.
-        let no_raw = vec![None; plan.written.len()];
-        let partials = match run_pass(
-            module,
-            plan,
-            args,
-            mem,
-            &pieces,
-            bounds,
-            &objs,
-            &no_raw,
-            &vec![identity_seeds; pieces.len()],
-            None,
-        ) {
-            Ok(r) => r,
-            Err(f) => return recover_pass_failure(module, plan, args, mem, f),
-        };
-        // Fold block partials into per-block offsets: block 0 starts from
-        // the original initial value, block t from offset(t-1) ⊕
-        // partial(t-1).
-        let mut offsets: Vec<Vec<SeedVal>> = Vec::with_capacity(pieces.len());
-        let mut running: Vec<SeedVal> = plan
-            .scans
-            .iter()
-            .zip(&objs.scan_cells)
-            .map(|(s, &cell)| match s.ty {
-                Type::Int | Type::Bool => Ok(SeedVal::I(mem.load_i(cell, 0).map_err(Trap::Mem)?)),
-                _ => Ok(SeedVal::F(mem.load_f(cell, 0).map_err(Trap::Mem)?)),
-            })
-            .collect::<Result<_, Trap>>()?;
-        for p in &partials {
-            offsets.push(running.clone());
-            running = running
-                .iter()
-                .zip(&plan.scans)
-                .zip(&p.scan_cells)
-                .map(|((seed, s), partial)| seed.merge(s.op, partial))
-                .collect();
-        }
-        // The replay pass re-runs every block from its offset and writes
-        // the output through unsynchronized shared storage (strided
-        // indices make block writes disjoint).
-        let scan_raws: Vec<Arc<SharedRaw>> = objs
-            .scan_outs
-            .iter()
-            .map(|&o| Arc::new(SharedRaw::new(mem.object(o).clone())))
-            .collect();
-        let replay = match run_pass(
-            module,
-            plan,
-            args,
-            mem,
-            &pieces,
-            bounds,
-            &objs,
-            &raw_shared,
-            &offsets,
-            Some(&scan_raws),
-        ) {
-            Ok(r) => r,
-            Err(f) => {
-                // The replay pass writes only through `SharedRaw` copies
-                // (`scan_raws` / disjoint-shared), never the base memory,
-                // so partially written copies are simply dropped here and
-                // the sequential re-run starts from pristine state.
-                drop(scan_raws);
-                return recover_pass_failure(module, plan, args, mem, f);
-            }
-        };
-        // Output writeback and the final accumulator values (the running
-        // fold now covers every block).
-        for (raw, &out) in scan_raws.into_iter().zip(&objs.scan_outs) {
-            let obj = Arc::try_unwrap(raw).expect("scan output uniquely owned").into_obj();
-            *mem.object_mut(out) = obj;
-        }
-        for ((seed, s), &cell) in running.iter().zip(&plan.scans).zip(&objs.scan_cells) {
-            match (seed, s.ty) {
-                (SeedVal::I(v), _) => mem.store_i(cell, 0, *v).map_err(Trap::Mem)?,
-                (SeedVal::F(v), _) => mem.store_f(cell, 0, *v).map_err(Trap::Mem)?,
-            }
-        }
-        replay
-    };
-
-    // Merge scalars: final = merge(init, partial_0, …, partial_{p-1}).
-    for (ai, (&cell, acc)) in objs.cells.iter().zip(&plan.accs).enumerate() {
-        match acc.ty {
-            Type::Int | Type::Bool => {
-                let mut v = mem.load_i(cell, 0).map_err(Trap::Mem)?;
-                for r in &results {
-                    let Obj::I(p) = &r.cells[ai] else { panic!("cell type mismatch") };
-                    v = acc.op.merge_int(v, p[0]);
-                }
-                mem.store_i(cell, 0, v).map_err(Trap::Mem)?;
-            }
-            _ => {
-                let mut v = mem.load_f(cell, 0).map_err(Trap::Mem)?;
-                for r in &results {
-                    let Obj::F(p) = &r.cells[ai] else { panic!("cell type mismatch") };
-                    v = acc.op.merge_float(v, p[0]);
-                }
-                mem.store_f(cell, 0, v).map_err(Trap::Mem)?;
-            }
-        }
-    }
-    // Fold argmin/argmax pairs in iteration order: a block partial with a
-    // real index replaces the running best exactly when the normalized
-    // exchange predicate holds — the same rule the loop body applies, so
-    // the result (including the tie-break) is bit-equal with sequential
-    // execution. Blocks that never exchanged report the sentinel and are
-    // skipped.
-    for (ai, (slot, (&vcell, &icell))) in
-        plan.args.iter().zip(objs.arg_vals.iter().zip(&objs.arg_idxs)).enumerate()
-    {
-        let mut best_i = mem.load_i(icell, 0).map_err(Trap::Mem)?;
-        match slot.ty {
-            Type::Int | Type::Bool => {
-                let mut best_v = mem.load_i(vcell, 0).map_err(Trap::Mem)?;
-                for r in &results {
-                    let Obj::I(pv) = &r.arg_vals[ai] else { panic!("arg cell type mismatch") };
-                    let Obj::I(pi_) = &r.arg_idxs[ai] else { panic!("arg cell type mismatch") };
-                    if pi_[0] != ARG_IDX_SENTINEL && ord_pred(slot.pred, pv[0], best_v) {
-                        best_v = pv[0];
-                        best_i = pi_[0];
-                    }
-                }
-                mem.store_i(vcell, 0, best_v).map_err(Trap::Mem)?;
-            }
-            _ => {
-                let mut best_v = mem.load_f(vcell, 0).map_err(Trap::Mem)?;
-                for r in &results {
-                    let Obj::F(pv) = &r.arg_vals[ai] else { panic!("arg cell type mismatch") };
-                    let Obj::I(pi_) = &r.arg_idxs[ai] else { panic!("arg cell type mismatch") };
-                    if pi_[0] != ARG_IDX_SENTINEL && ord_pred(slot.pred, pv[0], best_v) {
-                        best_v = pv[0];
-                        best_i = pi_[0];
-                    }
-                }
-                mem.store_f(vcell, 0, best_v).map_err(Trap::Mem)?;
-            }
-        }
-        mem.store_i(icell, 0, best_i).map_err(Trap::Mem)?;
-    }
-    // Merge histograms element-wise (growing the original if needed).
-    for (hi_idx, (&hobj, h)) in objs.hists.iter().zip(&plan.hists).enumerate() {
-        let max_len = results
-            .iter()
-            .map(|r| r.hists[hi_idx].len())
-            .max()
-            .unwrap_or(0)
-            .max(mem.object(hobj).len());
-        mem.object_mut(hobj)
-            .grow_to(max_len, h.op.identity_int(), h.op.identity_float());
-        for r in &results {
-            merge_obj(mem.object_mut(hobj), &r.hists[hi_idx], h.op);
-        }
-    }
-    // Disjoint-shared writebacks.
-    for ((raw, &wobj), _) in raw_shared.into_iter().zip(&objs.written).zip(&plan.written) {
-        if let Some(raw) = raw {
-            let obj = Arc::try_unwrap(raw).expect("raw shared uniquely owned").into_obj();
-            *mem.object_mut(wobj) = obj;
-        }
-    }
-    // Copyback objects: the piece executing the final iterations wins.
-    let copyback_objs: Vec<ObjId> = objs
-        .written
-        .iter()
-        .zip(&plan.written)
-        .filter(|(_, w)| w.policy == WrittenPolicy::PrivateCopyback)
-        .map(|(&o, _)| o)
-        .collect();
-    if !copyback_objs.is_empty() {
-        if let Some(last) = results.last() {
-            for (&obj, data) in copyback_objs.iter().zip(&last.copyback) {
-                *mem.object_mut(obj) = data.clone();
-            }
-        }
+    let chunks = plan_chunks(plan, count, threads);
+    let call = Call { module, plan, args, lo, hi, step, count, chunks, threads };
+    match &plan.search {
+        Some(search) => execute_speculative(&call, search, mem)?,
+        None => execute_deterministic(&call, mem)?,
     }
     Ok(None)
 }
 
-/// Degrades a failed non-speculative pass. A trap propagates — the pass
-/// covers every iteration exactly once, so the lowest failing piece holds
-/// the earliest trapping iteration, the same trap sequential execution
-/// raises. A contained worker panic instead falls back to running the
-/// chunk function once, sequentially, over the **entire** iteration space
-/// against a scratch copy of the live memory: every chunk-local result so
-/// far lived in discarded overlays, so the re-run reproduces exact
-/// sequential semantics — including the sequential trap or panic if the
-/// failure was genuine — and the base memory is only replaced once the
-/// re-run succeeds.
-fn recover_pass_failure(
-    module: &Module,
+/// The redirects of one deterministic chunk, in merge order: the
+/// identity-seeded accumulator cells, the scan cells seeded with
+/// `scan_seeds`, each argmin/argmax `(value, index)` pair seeded with
+/// `(identity, sentinel)`, the histograms, and the written objects that
+/// `written_raws` does not share (private copies). Scan outputs go to
+/// `scan_raws`, or to a sink when it is `None`.
+fn fold_installs(
     plan: &ReductionPlan,
-    args: &[RtVal],
-    mem: &mut Memory,
-    failure: PieceFailure,
-) -> Result<Option<RtVal>, Trap> {
-    match failure {
-        PieceFailure::Trap(t) => Err(t),
-        PieceFailure::Panic { piece, detail } => {
-            GrError::WorkerPanic { function: plan.chunk_fn.clone(), chunk: piece as i64, detail }
-                .emit();
-            if gr_trace::enabled() {
-                gr_trace::counter("runtime.panic_fallbacks", 1);
-                gr_trace::instant("runtime.panic_fallback", vec![("chunk", piece.into())]);
+    objs: &PlanObjects,
+    base: &Memory,
+    scan_seeds: &[Obj],
+    scan_raws: Option<&[Arc<SharedRaw>]>,
+    written_raws: &[Option<Arc<SharedRaw>>],
+) -> Vec<(ObjId, Install)> {
+    let mut out = Vec::new();
+    for (&cell, acc) in objs.cells.iter().zip(&plan.accs) {
+        out.push((cell, private(identity(acc.op, acc.ty))));
+    }
+    for (&cell, seed) in objs.scan_cells.iter().zip(scan_seeds) {
+        out.push((cell, private(seed.clone())));
+    }
+    for (si, &o) in objs.scan_outs.iter().enumerate() {
+        out.push((o, scan_raws.map_or(Install::Sink, |raws| Install::Raw(Arc::clone(&raws[si])))));
+    }
+    for (slot, (&v, &i)) in plan.args.iter().zip(objs.arg_vals.iter().zip(&objs.arg_idxs)) {
+        out.push((v, private(identity(slot.op, slot.ty))));
+        out.push((i, private(Obj::I(vec![ARG_IDX_SENTINEL]))));
+    }
+    for (&h, slot) in objs.hists.iter().zip(&plan.hists) {
+        let len = if slot.growable { 1 } else { base.object(h).len() };
+        let seed = match slot.elem {
+            Type::Int => Obj::I(vec![slot.op.identity_int(); len]),
+            _ => Obj::F(vec![slot.op.identity_float(); len]),
+        };
+        out.push((h, Install::Private { seed, grow: slot.growable.then_some(slot.op) }));
+    }
+    for (&w, raw) in objs.written.iter().zip(written_raws) {
+        out.push((
+            w,
+            raw.as_ref().map_or_else(
+                || private(base.object(w).clone()),
+                |raw| Install::Raw(Arc::clone(raw)),
+            ),
+        ));
+    }
+    out
+}
+
+/// The ordered fold, run as one deterministic pass, or as the two-pass
+/// block scan when the plan has scans: the partials pass, the per-block
+/// offsets folded from its partials, then the replay pass, whose partials
+/// merge like an ordered fold.
+fn execute_deterministic(call: &Call<'_>, mem: &mut Memory) -> Result<(), Trap> {
+    let plan = call.plan;
+    let objs = &PlanObjects::resolve(plan, call.args)?;
+    let shared = |o: ObjId| Arc::new(SharedRaw::new(mem.object(o).clone()));
+    let written_raws: Vec<Option<Arc<SharedRaw>>> = objs
+        .written
+        .iter()
+        .zip(&plan.written)
+        .map(|(&o, w)| (w.policy == WrittenPolicy::DisjointShared).then(|| shared(o)))
+        .collect();
+    let identities: Vec<Obj> = plan.scans.iter().map(|s| identity(s.op, s.ty)).collect();
+    let mut seeds = vec![identities; call.chunks.len()];
+    let mut scan_totals = Vec::new();
+    let mut scan_raws = None;
+    if !plan.scans.is_empty() {
+        // Partials pass: every block from the identity, outputs sunk and
+        // every write privatized. It only needs each block's final running
+        // value, so it runs the store-free value-only chunk when outlining
+        // produced one.
+        let value_fn = plan.chunk_value_only_fn.as_deref().unwrap_or(&plan.chunk_fn);
+        let no_raws = vec![None; plan.written.len()];
+        let partials = match call.deterministic_pass(mem, value_fn, &|c| {
+            fold_installs(plan, objs, mem, &seeds[c], None, &no_raws)
+        }) {
+            Ok(columns) => columns,
+            Err(failure) => return call.recover(mem, failure),
+        };
+        // Block 0 starts from the original initial value, block t from
+        // offset(t-1) ⊕ partial(t-1).
+        let mut running = objs
+            .scan_cells
+            .iter()
+            .zip(&plan.scans)
+            .map(|(&cell, s)| load_cell(mem, cell, s.ty))
+            .collect::<Result<Vec<Obj>, Trap>>()?;
+        let scan_partials = &partials[plan.accs.len()..plan.accs.len() + plan.scans.len()];
+        for (c, block_seeds) in seeds.iter_mut().enumerate() {
+            *block_seeds = running.clone();
+            for ((total, s), column) in running.iter_mut().zip(&plan.scans).zip(scan_partials) {
+                merge_obj(total, &column[c], s.op);
             }
-            let mut machine = Machine::new(module, mem.clone());
-            machine.call(&plan.chunk_fn, args)?;
-            *mem = machine.mem;
-            Ok(None)
+        }
+        scan_totals = running;
+        scan_raws = Some(objs.scan_outs.iter().map(|&o| shared(o)).collect::<Vec<_>>());
+    }
+    // The replay pass (or the only pass, without scans). A failure here
+    // drops the shared copies, so the base memory is still pristine.
+    let columns = match call.deterministic_pass(mem, &plan.chunk_fn, &|c| {
+        fold_installs(plan, objs, mem, &seeds[c], scan_raws.as_deref(), &written_raws)
+    }) {
+        Ok(columns) => columns,
+        Err(failure) => return call.recover(mem, failure),
+    };
+    for (raw, &out) in scan_raws.into_iter().flatten().zip(&objs.scan_outs) {
+        *mem.object_mut(out) = Arc::try_unwrap(raw).expect("scan output uniquely owned").into_obj();
+    }
+    for (total, &cell) in scan_totals.iter().zip(&objs.scan_cells) {
+        store_cell(mem, cell, total)?;
+    }
+    let mut columns = columns.into_iter();
+    let mut next = || columns.next().expect("one column per private object");
+    // Accumulators: final = init ⊕ partial_0 ⊕ … ⊕ partial_{p-1}.
+    for (acc, &cell) in plan.accs.iter().zip(&objs.cells) {
+        fold_into(mem, cell, acc.ty, acc.op, &next())?;
+    }
+    // The replay pass's scan partials are already in the totals.
+    plan.scans.iter().for_each(|_| drop(next()));
+    // Argmin/argmax pairs in iteration order: a block partial with a real
+    // index replaces the running best exactly when the normalized exchange
+    // predicate holds, the same rule the loop body applies, so ties break
+    // bit-equal with sequential execution. Blocks that never exchanged
+    // report the sentinel and are skipped.
+    for (slot, (&vcell, &icell)) in plan.args.iter().zip(objs.arg_vals.iter().zip(&objs.arg_idxs)) {
+        let (vals, idxs) = (next(), next());
+        let mut best = (load_cell(mem, vcell, slot.ty)?, mem.load_i(icell, 0).map_err(Trap::Mem)?);
+        for (v, i) in vals.into_iter().zip(idxs) {
+            let Obj::I(i) = i else { panic!("arg cell type mismatch") };
+            if i[0] != ARG_IDX_SENTINEL && exchanges(slot.pred, &v, &best.0) {
+                best = (v, i[0]);
+            }
+        }
+        store_cell(mem, vcell, &best.0)?;
+        mem.store_i(icell, 0, best.1).map_err(Trap::Mem)?;
+    }
+    // Histograms element-wise, growing the original if needed.
+    for (&h, slot) in objs.hists.iter().zip(&plan.hists) {
+        let partials = next();
+        let len = partials.iter().map(Obj::len).chain([mem.object(h).len()]).max().unwrap_or(0);
+        let hist = mem.object_mut(h);
+        hist.grow_to(len, slot.op.identity_int(), slot.op.identity_float());
+        for p in &partials {
+            merge_obj(hist, p, slot.op);
         }
     }
+    // Written objects: shared copies replace the original; for private
+    // copies the chunk executing the final iterations wins.
+    for (raw, &w) in written_raws.into_iter().zip(&objs.written) {
+        *mem.object_mut(w) = match raw {
+            Some(raw) => Arc::try_unwrap(raw).expect("raw shared uniquely owned").into_obj(),
+            None => next().pop().expect("the last chunk's copy"),
+        };
+    }
+    Ok(())
 }
 
 /// Stable per-call-site key for the runtime profiling histograms: the
@@ -708,346 +646,171 @@ fn trace_site(chunk_fn: &str) -> &str {
     gr_core::strip_gensym(chunk_fn)
 }
 
-/// The cancellable speculative executor for early-exit loops: searches
-/// and speculative folds.
+/// The redirects of one speculative chunk: the hit cell seeded with
+/// [`SEARCH_NO_HIT`] first, then private copies of the exit and fold
+/// cells as `base` holds them.
+fn speculative_installs(objs: &PlanObjects, base: &Memory) -> Vec<(ObjId, Install)> {
+    let hit = objs.hit.iter().map(|&h| (h, private(Obj::I(vec![SEARCH_NO_HIT]))));
+    let cells = objs
+        .exits
+        .iter()
+        .chain(&objs.folds)
+        .map(|&o| (o, private(base.object(o).clone())));
+    hit.chain(cells).collect()
+}
+
+/// The hit value in a speculative chunk's private objects.
+fn hit_of(objs: &[Obj]) -> i64 {
+    let Obj::I(hit) = &objs[0] else { panic!("hit cell type mismatch") };
+    hit[0]
+}
+
+/// The lowest-hit commit for searches and speculative folds.
 ///
-/// The iteration space is cut into `threads × chunks_per_worker` chunks
-/// in iteration order ([`ReductionPlan::chunking`]; with `front_ramp` the
-/// cut is [`ramped`] — small chunks first — instead of an even
-/// [`bisect`]). Workers claim chunks from a shared counter and, between
-/// chunks, poll the [`EarlyExitToken`]: once a strictly earlier chunk is
-/// known to have hit, every remaining claim is moot and the worker stops.
-/// A chunk runs the two-exit chunk function on an overlay with private
-/// hit/exit/fold cells; the chunk itself breaks at its first in-range
-/// hit, so per-chunk results are already "earliest in chunk".
+/// Each chunk runs the two-exit chunk function on private hit/exit/fold
+/// cells and breaks at its first in-range hit, so per-chunk results are
+/// already "earliest in chunk". The merge commits the exit cells of the
+/// lowest-indexed hit chunk — exactly the sequential first hit — and folds
+/// the speculative-fold partials **in chunk order, only up to that chunk**
+/// (all of them when nothing hit). Claims are issued in order and only
+/// chunks strictly past a known hit are cancelled, so every chunk before
+/// the winner has run to completion.
 ///
-/// The merge commits the exit cells of the lowest-indexed hit chunk —
-/// exactly the sequential first hit — and folds the speculative-fold
-/// partials **in chunk order, only up to that chunk** (all of them when
-/// nothing hit): because claims are issued in order and only chunks
-/// strictly past a known hit are cancelled, every chunk before the winner
-/// has run to completion and its partial is available. Results are
-/// asserted identical with sequential execution across thread counts by
-/// the tests below (bit-equal integers, tolerance float sums from the
-/// bounded reassociation).
-///
-/// Chunks later than the winning hit may execute speculatively and be
-/// discarded. Detection guarantees this is unobservable (the loop body is
-/// side-effect free — stray writes would trap in the overlay). Loads past
-/// the sequential exit point are *not* assumed in-bounds: a speculative
-/// chunk that traps is discarded, and if it cannot be proven irrelevant
-/// (it precedes the winning hit, or nothing hit at all) the executor
-/// falls back to running the chunk function once over the full range —
-/// sequential semantics, including the trap if the original program
-/// really would have faulted (ROADMAP's bounds-aware fallback).
-fn execute_search(
-    module: &Module,
-    plan: &ReductionPlan,
-    search: &SearchSlot,
-    threads: usize,
-    args: &[RtVal],
-    mem: &mut Memory,
-) -> Result<Option<RtVal>, Trap> {
-    let lo = args[0].as_i();
-    let hi = args[1].as_i();
-    let step = args[2].as_i();
-    let count = plan.iteration_count(lo, hi, step);
-    if count == 0 {
-        return Ok(None);
-    }
-    #[allow(clippy::cast_sign_loss)] // count > 0 here
-    let target = (threads.max(1) * plan.chunking.chunks_per_worker.max(1)).min(count as usize);
-    let pieces =
-        if plan.chunking.front_ramp { ramped(count, target) } else { bisect(count, target) };
+/// Loads past the sequential exit point are *not* assumed in-bounds: a
+/// speculative chunk that traps or panics is discarded. If it cannot be
+/// proven irrelevant (it precedes the winning hit, or nothing hit at all),
+/// the chunks completed before it are committed and the chunk function
+/// runs once from that boundary to the true bound — sequential semantics,
+/// including the trap if the original program really would have faulted.
+fn execute_speculative(call: &Call<'_>, search: &SearchSlot, mem: &mut Memory) -> Result<(), Trap> {
+    let (plan, chunks) = (call.plan, &call.chunks);
     if gr_trace::enabled() {
-        gr_trace::counter("runtime.chunks_planned", pieces.len() as i64);
+        gr_trace::counter("runtime.chunks_planned", chunks.len() as i64);
         // Chunk-size distribution per call site, recorded at plan time (on
         // the dispatching thread, before any worker races) so the profile
         // is deterministic for a fixed thread count.
-        for &(_, len) in &pieces {
+        for &(_, len) in chunks {
             gr_trace::histogram_keyed("runtime.chunk_len", trace_site(&plan.chunk_fn), len);
         }
-        if plan.chunking.front_ramp {
-            gr_trace::instant(
-                "runtime.ramp",
-                vec![
-                    ("chunks", pieces.len().into()),
-                    ("first_len", pieces.first().map_or(0, |&(_, l)| l).into()),
-                    ("last_len", pieces.last().map_or(0, |&(_, l)| l).into()),
-                ],
-            );
-        }
-    }
-    let hit_obj = object_of(args[search.hit_arg_index])?;
-    let exit_objs: Vec<ObjId> = search
-        .exits
-        .iter()
-        .map(|e| object_of(args[e.arg_index]))
-        .collect::<Result<_, Trap>>()?;
-    let fold_objs: Vec<ObjId> = search
-        .folds
-        .iter()
-        .map(|f| object_of(args[f.arg_index]))
-        .collect::<Result<_, Trap>>()?;
-    let token = EarlyExitToken::new();
-    let next = AtomicUsize::new(0);
-    // Lowest chunk index that trapped or panicked while speculating
-    // (i64::MAX: none) — the barrier below which the speculative result
-    // cannot be trusted.
-    let trapped = std::sync::atomic::AtomicI64::new(i64::MAX);
-    // What actually went wrong, per chunk, for the failure ledger. The
-    // crate's poisoning-immune mutex: a panicking worker (whose panic is
-    // contained before the lock is ever held here) can never wedge it.
-    let failures: crate::sync::Mutex<Vec<(usize, GrError)>> = crate::sync::Mutex::new(Vec::new());
-    let results: Vec<Vec<ChunkOut>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.max(1) {
-            let base: &Memory = mem;
-            let (token, next, pieces, trapped) = (&token, &next, &pieces, &trapped);
-            let (exit_objs, fold_objs, failures) = (&exit_objs, &fold_objs, &failures);
-            handles.push(scope.spawn(move || -> Vec<ChunkOut> {
-                let mut done = Vec::new();
-                loop {
-                    let c = next.fetch_add(1, Ordering::SeqCst);
-                    if c >= pieces.len() {
-                        break;
-                    }
-                    if crate::fault::abort_requested(c) {
-                        token.abort();
-                    }
-                    gr_trace::counter("runtime.token_polls", 1);
-                    if token.cancels(c as i64) {
-                        gr_trace::counter("runtime.token_cancelled", 1);
-                        break;
-                    }
-                    let (start, len) = pieces[c];
-                    if gr_trace::enabled() {
-                        gr_trace::counter("runtime.chunk_dispatch", 1);
-                        gr_trace::instant(
-                            "runtime.chunk",
-                            vec![("chunk", c.into()), ("start", start.into()), ("len", len.into())],
-                        );
-                    }
-                    let mut piece_args = args.to_vec();
-                    let p_lo = plan.nth_iter_value(lo, step, start);
-                    let p_hi = plan.nth_iter_value(lo, step, start + len);
-                    piece_args[0] = RtVal::I(p_lo);
-                    piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        crate::fault::maybe_panic(c);
-                        run_speculative_chunk(
-                            module,
-                            &plan.chunk_fn,
-                            &piece_args,
-                            base,
-                            hit_obj,
-                            exit_objs,
-                            fold_objs,
-                        )
-                    }));
-                    let (hit, exits, folds) = match outcome {
-                        Ok(Ok(r)) => r,
-                        Ok(Err(trap)) => {
-                            // A trap while speculating is not (yet) an
-                            // error: record the chunk and let the merge
-                            // decide whether sequential execution would
-                            // have reached it at all.
-                            gr_trace::counter("runtime.chunk_trap", 1);
-                            trapped.fetch_min(c as i64, Ordering::SeqCst);
-                            failures.lock().push((
-                                c,
-                                GrError::InterpTrap {
-                                    function: plan.chunk_fn.clone(),
-                                    detail: trap.to_string(),
-                                },
-                            ));
-                            continue;
-                        }
-                        Err(payload) => {
-                            // A panicking chunk is contained exactly like
-                            // a trapping one: its work is discarded, the
-                            // schedule keeps running, and the merge falls
-                            // back when the chunk turns out to matter.
-                            gr_trace::counter("runtime.chunk_panic", 1);
-                            trapped.fetch_min(c as i64, Ordering::SeqCst);
-                            failures.lock().push((
-                                c,
-                                GrError::WorkerPanic {
-                                    function: plan.chunk_fn.clone(),
-                                    chunk: c as i64,
-                                    detail: crate::fault::panic_message(&*payload),
-                                },
-                            ));
-                            continue;
-                        }
-                    };
-                    if hit != SEARCH_NO_HIT {
-                        gr_trace::counter("runtime.chunk_hits", 1);
-                        token.offer(c as i64);
-                    }
-                    gr_trace::counter("runtime.chunk_complete", 1);
-                    done.push(ChunkOut { chunk: c, hit, exits, folds });
-                }
-                done
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("speculative worker died outside panic containment"))
-            .collect()
-    });
-    let mut outs: Vec<ChunkOut> = results.into_iter().flatten().collect();
-    outs.sort_by_key(|o| o.chunk);
-    let winner = outs.iter().filter(|o| o.hit != SEARCH_NO_HIT).map(|o| o.chunk).min();
-    // The speculative result stands only when everything sequential
-    // execution would have run is accounted for: every chunk up to the
-    // winner (all chunks, when nothing hit) completed without a trap.
-    let needed = winner.map_or(pieces.len(), |w| w + 1);
-    let trapped_min = trapped.load(Ordering::SeqCst);
-    let complete = trapped_min >= needed as i64
-        && outs.len() >= needed
-        && outs.iter().take(needed).enumerate().all(|(i, o)| o.chunk == i);
-    if !complete {
-        // Restart from the last completed chunk boundary instead of
-        // re-running the whole range: chunks `0..prefix` finished without
-        // hit or trap, so their partials are committed as-is and the
-        // sequential tail resumes exactly where coverage ends.
-        let prefix = completed_prefix(&outs, trapped_min);
-        debug_assert!(prefix < pieces.len(), "a fully completed schedule cannot be incomplete");
-        let restart_at = pieces.get(prefix).map_or(count, |&(start, _)| start);
-        // Failure ledger: one entry for the earliest failure sequential
-        // execution actually needs (chunks below `needed` always run to
-        // an outcome, so this choice is deterministic; racy speculative
-        // failures past the winner are not user-visible degradations),
-        // plus the abort itself when the schedule was torn down.
-        let mut fails = failures.into_inner();
-        fails.sort_by_key(|&(c, _)| c);
-        if let Some((_, err)) = fails.iter().find(|&&(c, _)| c < needed) {
-            err.emit();
-        }
-        if token.aborted() {
-            GrError::TokenAborted { function: plan.chunk_fn.clone() }.emit();
-        }
-        if gr_trace::enabled() {
-            gr_trace::counter("runtime.trap_fallbacks", 1);
-            gr_trace::instant(
-                "runtime.trap_fallback",
-                vec![("restart_chunk", prefix.into()), ("restart_iter", restart_at.into())],
-            );
-        }
-        return execute_sequential_fallback(
-            module,
-            plan,
-            search,
-            args,
-            mem,
-            hit_obj,
-            &exit_objs,
-            &fold_objs,
-            &outs[..prefix],
-            plan.nth_iter_value(lo, step, restart_at),
+        gr_trace::instant(
+            "runtime.ramp",
+            vec![
+                ("chunks", chunks.len().into()),
+                ("first_len", chunks.first().map_or(0, |&(_, l)| l).into()),
+                ("last_len", chunks.last().map_or(0, |&(_, l)| l).into()),
+            ],
         );
     }
-    if let Some(w) = winner {
-        let won = outs.iter().find(|o| o.chunk == w).expect("winner chunk result present");
-        gr_trace::counter("runtime.merge_commits", 1);
-        if gr_trace::enabled() {
-            // Hit-position profile per call site: the committed hit is the
-            // sequential first hit, so this histogram is identical across
-            // thread counts and is what an adaptive ramp would train on
-            // (gr_trace::profile::HitProfile extracts it).
-            gr_trace::histogram_keyed("runtime.hit_pos", trace_site(&plan.chunk_fn), won.hit);
-            gr_trace::histogram_keyed("runtime.hit_chunk", trace_site(&plan.chunk_fn), w as i64);
+    let objs = PlanObjects::resolve(plan, call.args)?;
+    let token = EarlyExitToken::new();
+    let out =
+        call.run_pool(mem, &plan.chunk_fn, Some(&token), &|_| speculative_installs(&objs, mem));
+    let winner = out.done.iter().find(|(_, o)| hit_of(o) != SEARCH_NO_HIT).map(|&(c, _)| c);
+    // The speculative result stands only when everything sequential
+    // execution would have run is accounted for: every chunk up to the
+    // winner (all chunks, when nothing hit) completed without a failure.
+    let needed = winner.map_or(chunks.len(), |w| w + 1);
+    let failed_min = out.failed.first().map_or(i64::MAX, |&(c, _)| c as i64);
+    let complete = failed_min >= needed as i64
+        && out.done.len() >= needed
+        && out.done.iter().take(needed).enumerate().all(|(i, &(c, _))| c == i);
+    if complete {
+        if let Some(w) = winner {
+            gr_trace::counter("runtime.merge_commits", 1);
+            if gr_trace::enabled() {
+                // Hit-position profile per call site: the committed hit is
+                // the sequential first hit, so this histogram is identical
+                // across thread counts and is what an adaptive ramp would
+                // train on (gr_trace::profile::HitProfile extracts it).
+                let site = trace_site(&plan.chunk_fn);
+                gr_trace::histogram_keyed("runtime.hit_pos", site, hit_of(&out.done[w].1));
+                gr_trace::histogram_keyed("runtime.hit_chunk", site, w as i64);
+            }
         }
-        mem.store_i(hit_obj, 0, won.hit).map_err(Trap::Mem)?;
-        for (&o, obj) in exit_objs.iter().zip(&won.exits) {
+        if gr_trace::enabled() && !search.folds.is_empty() {
+            gr_trace::counter("runtime.fold_partials_merged", (needed * search.folds.len()) as i64);
+        }
+        let partials: Vec<&[Obj]> = out.done[..needed].iter().map(|(_, o)| &o[..]).collect();
+        return commit_speculative(mem, search, &objs, &partials);
+    }
+    // Restart from the last completed chunk boundary instead of re-running
+    // the whole range: chunks `0..prefix` finished without hit or failure,
+    // so their partials are committed as-is and the sequential tail
+    // resumes exactly where coverage ends.
+    let prefix = completed_prefix(&out.done, failed_min);
+    debug_assert!(prefix < chunks.len(), "a fully completed schedule cannot be incomplete");
+    let restart_at = chunks.get(prefix).map_or(call.count, |&(start, _)| start);
+    // Failure ledger: one entry for the earliest failure sequential
+    // execution actually needs (chunks below `needed` always run to an
+    // outcome, so this choice is deterministic; racy speculative failures
+    // past the winner are not user-visible degradations), plus the abort
+    // itself when the schedule was torn down.
+    if let Some((c, failure)) = out.failed.iter().find(|&&(c, _)| c < needed) {
+        let function = plan.chunk_fn.clone();
+        match failure {
+            Failure::Trap(trap) => GrError::InterpTrap { function, detail: trap.to_string() },
+            Failure::Panic(detail) => {
+                GrError::WorkerPanic { function, chunk: *c as i64, detail: detail.clone() }
+            }
+        }
+        .emit();
+    }
+    if token.aborted() {
+        GrError::TokenAborted { function: plan.chunk_fn.clone() }.emit();
+    }
+    if gr_trace::enabled() {
+        gr_trace::counter("runtime.trap_fallbacks", 1);
+        gr_trace::instant(
+            "runtime.trap_fallback",
+            vec![("restart_chunk", prefix.into()), ("restart_iter", restart_at.into())],
+        );
+    }
+    // The sequential tail breaks at its first hit exactly like the
+    // original loop. It runs against the live cells outside the pool (the
+    // fault seams never fire here), and its trap, if any, propagates before
+    // any cell is touched.
+    let mut tail_args = call.args.to_vec();
+    tail_args[0] = RtVal::I(plan.nth_iter_value(call.lo, call.step, restart_at));
+    let tail =
+        run_chunk(call.module, &plan.chunk_fn, &tail_args, mem, speculative_installs(&objs, mem))?;
+    let mut partials: Vec<&[Obj]> = out.done[..prefix].iter().map(|(_, o)| &o[..]).collect();
+    partials.push(&tail);
+    commit_speculative(mem, search, &objs, &partials)
+}
+
+/// Commits speculative chunk results covering a prefix of the iteration
+/// space, in chunk order. Only the last may have hit: its hit and exit
+/// cells are committed. Every fold cell becomes `init ⊕ partial_0 ⊕ …`
+/// (the cell holds `init` on entry — the rewritten preheader stored it).
+/// Without a hit the hit/exit cells keep the preheader's defaults.
+fn commit_speculative(
+    mem: &mut Memory,
+    search: &SearchSlot,
+    objs: &PlanObjects,
+    partials: &[&[Obj]],
+) -> Result<(), Trap> {
+    let folds_at = 1 + objs.exits.len();
+    if let Some(last) = partials.last().filter(|last| hit_of(last) != SEARCH_NO_HIT) {
+        mem.store_i(objs.hit[0], 0, hit_of(last)).map_err(Trap::Mem)?;
+        for (&o, obj) in objs.exits.iter().zip(&last[1..folds_at]) {
             *mem.object_mut(o) = obj.clone();
         }
     }
-    // Speculative-fold merge: init (already in the cell) ⊕ the partials
-    // of chunks 0..=winner, in iteration order.
-    if gr_trace::enabled() && !search.folds.is_empty() {
-        gr_trace::counter("runtime.fold_partials_merged", (needed * search.folds.len()) as i64);
-    }
-    for (fi, (slot, &cell)) in search.folds.iter().zip(&fold_objs).enumerate() {
-        merge_fold_partials(mem, cell, slot, outs.iter().take(needed).map(|o| &o.folds[fi]))?;
-    }
-    // No hit anywhere: the hit/exit cells keep the defaults the rewritten
-    // preheader stored.
-    Ok(None)
-}
-
-/// Runs the chunk function once over `args`'s `[lo, hi)` on an overlay
-/// with private hit/exit/fold cells — the one chunk-execution protocol
-/// shared by the speculative workers and the sequential fallback.
-/// Returns the hit value ([`SEARCH_NO_HIT`] when the chunk completed),
-/// the exit-cell values (empty unless it hit) and the fold partials.
-fn run_speculative_chunk(
-    module: &Module,
-    chunk_fn: &str,
-    args: &[RtVal],
-    base: &Memory,
-    hit_obj: ObjId,
-    exit_objs: &[ObjId],
-    fold_objs: &[ObjId],
-) -> Result<(i64, Vec<Obj>, Vec<Obj>), Trap> {
-    let mut overlay = OverlayMemory::new(base);
-    overlay.redirect_private(hit_obj, Obj::I(vec![SEARCH_NO_HIT]), false, 0, 0.0);
-    for &o in exit_objs.iter().chain(fold_objs.iter()) {
-        overlay.redirect_private(o, base.object(o).clone(), false, 0, 0.0);
-    }
-    let mut machine = Machine::new(module, overlay);
-    machine.call(chunk_fn, args)?;
-    let mut overlay = machine.mem;
-    let Obj::I(hit) = overlay.take_private(hit_obj) else { panic!("hit cell type mismatch") };
-    let hit = hit[0];
-    let exits: Vec<Obj> = if hit == SEARCH_NO_HIT {
-        Vec::new()
-    } else {
-        exit_objs.iter().map(|&o| overlay.take_private(o)).collect()
-    };
-    let folds: Vec<Obj> = fold_objs.iter().map(|&o| overlay.take_private(o)).collect();
-    Ok((hit, exits, folds))
-}
-
-/// Folds `init ⊕ partial_0 ⊕ … ⊕ partial_k` into a speculative-fold cell
-/// (the cell holds `init` on entry — the rewritten preheader stored it).
-fn merge_fold_partials<'a>(
-    mem: &mut Memory,
-    cell: ObjId,
-    slot: &crate::plan::FoldSlot,
-    partials: impl Iterator<Item = &'a Obj>,
-) -> Result<(), Trap> {
-    match slot.ty {
-        Type::Int | Type::Bool => {
-            let mut v = mem.load_i(cell, 0).map_err(Trap::Mem)?;
-            for p in partials {
-                let Obj::I(p) = p else { panic!("fold cell type mismatch") };
-                v = slot.op.merge_int(v, p[0]);
-            }
-            mem.store_i(cell, 0, v).map_err(Trap::Mem)?;
-        }
-        _ => {
-            let mut v = mem.load_f(cell, 0).map_err(Trap::Mem)?;
-            for p in partials {
-                let Obj::F(p) = p else { panic!("fold cell type mismatch") };
-                v = slot.op.merge_float(v, p[0]);
-            }
-            mem.store_f(cell, 0, v).map_err(Trap::Mem)?;
-        }
+    for (fi, (slot, &cell)) in search.folds.iter().zip(&objs.folds).enumerate() {
+        fold_into(mem, cell, slot.ty, slot.op, partials.iter().map(|p| &p[folds_at + fi]))?;
     }
     Ok(())
 }
 
-/// The longest contiguous run of chunks `0..prefix` that completed
-/// without a hit and below the lowest trapped chunk: their partials are
-/// exactly what sequential execution would have produced over the same
-/// iterations, so the fallback can commit them and restart past them.
-/// `outs` must be sorted by chunk index.
-fn completed_prefix(outs: &[ChunkOut], trapped_min: i64) -> usize {
+/// The longest run of chunks `0..prefix` that completed without a hit and
+/// below the lowest failed chunk: their partials are exactly what
+/// sequential execution would have produced over the same iterations, so
+/// the fallback can commit them and restart past them. `done` must be
+/// sorted by chunk index.
+fn completed_prefix(done: &[(usize, Vec<Obj>)], failed_min: i64) -> usize {
     let mut prefix = 0usize;
-    for o in outs {
-        if o.chunk == prefix && o.hit == SEARCH_NO_HIT && (prefix as i64) < trapped_min {
+    for (c, objs) in done {
+        if *c == prefix && hit_of(objs) == SEARCH_NO_HIT && (prefix as i64) < failed_min {
             prefix += 1;
         } else {
             break;
@@ -1056,82 +819,67 @@ fn completed_prefix(outs: &[ChunkOut], trapped_min: i64) -> usize {
     prefix
 }
 
-/// The bounds-aware fallback: a speculative chunk trapped and sequential
-/// execution cannot be proven to stop before it, so the speculative tail
-/// is discarded and the chunk function runs once **from the last
-/// completed chunk boundary to the true bound** against the live cells —
-/// it breaks at its first hit exactly like the original loop, so this is
-/// sequential execution in chunk clothing, minus the prefix the schedule
-/// already covered (`completed`, whose partials are committed verbatim).
-/// A trap here is real and propagates — before any cell is touched, so a
-/// trapping call leaves the rewritten preheader's seeds intact.
-#[allow(clippy::too_many_arguments)]
-fn execute_sequential_fallback(
-    module: &Module,
-    plan: &ReductionPlan,
-    search: &SearchSlot,
-    args: &[RtVal],
+/// The one-element cell holding `op`'s identity for type `ty`.
+fn identity(op: ReductionOp, ty: Type) -> Obj {
+    match ty {
+        Type::Int | Type::Bool => Obj::I(vec![op.identity_int()]),
+        _ => Obj::F(vec![op.identity_float()]),
+    }
+}
+
+/// Reads the one-element cell `cell` of type `ty`.
+fn load_cell(mem: &Memory, cell: ObjId, ty: Type) -> Result<Obj, Trap> {
+    Ok(match ty {
+        Type::Int | Type::Bool => Obj::I(vec![mem.load_i(cell, 0).map_err(Trap::Mem)?]),
+        _ => Obj::F(vec![mem.load_f(cell, 0).map_err(Trap::Mem)?]),
+    })
+}
+
+/// Writes a one-element value back to `cell`.
+fn store_cell(mem: &mut Memory, cell: ObjId, value: &Obj) -> Result<(), Trap> {
+    match value {
+        Obj::I(v) => mem.store_i(cell, 0, v[0]),
+        Obj::F(v) => mem.store_f(cell, 0, v[0]),
+    }
+    .map_err(Trap::Mem)
+}
+
+/// Folds `partials` into `cell` in order: `cell = cell ⊕ p_0 ⊕ p_1 ⊕ …`.
+fn fold_into<'a>(
     mem: &mut Memory,
-    hit_obj: ObjId,
-    exit_objs: &[ObjId],
-    fold_objs: &[ObjId],
-    completed: &[ChunkOut],
-    restart_lo: i64,
-) -> Result<Option<RtVal>, Trap> {
-    let mut tail_args = args.to_vec();
-    tail_args[0] = RtVal::I(restart_lo);
-    let (hit, exits, folds) = run_speculative_chunk(
-        module,
-        &plan.chunk_fn,
-        &tail_args,
-        mem,
-        hit_obj,
-        exit_objs,
-        fold_objs,
-    )?;
-    if hit != SEARCH_NO_HIT {
-        mem.store_i(hit_obj, 0, hit).map_err(Trap::Mem)?;
-        for (&o, obj) in exit_objs.iter().zip(exits) {
-            *mem.object_mut(o) = obj;
+    cell: ObjId,
+    ty: Type,
+    op: ReductionOp,
+    partials: impl IntoIterator<Item = &'a Obj>,
+) -> Result<(), Trap> {
+    let mut value = load_cell(mem, cell, ty)?;
+    for p in partials {
+        merge_obj(&mut value, p, op);
+    }
+    store_cell(mem, cell, &value)
+}
+
+/// Whether a block's argmin/argmax value `a` replaces the running best
+/// `b` under the normalized exchange predicate (ordering tests only — an
+/// equality exchange is never classified as argmin/argmax).
+fn exchanges(pred: CmpPred, a: &Obj, b: &Obj) -> bool {
+    fn holds<T: PartialOrd>(pred: CmpPred, a: T, b: T) -> bool {
+        match pred {
+            CmpPred::Lt => a < b,
+            CmpPred::Le => a <= b,
+            CmpPred::Gt => a > b,
+            CmpPred::Ge => a >= b,
+            CmpPred::Eq | CmpPred::Ne => false,
         }
     }
-    for (fi, ((slot, &cell), tail_partial)) in
-        search.folds.iter().zip(fold_objs).zip(&folds).enumerate()
-    {
-        let prefix_partials = completed.iter().map(move |o| &o.folds[fi]);
-        merge_fold_partials(mem, cell, slot, prefix_partials.chain(std::iter::once(tail_partial)))?;
-    }
-    Ok(None)
-}
-
-/// Applies a normalized exchange predicate (ordering tests only — an
-/// equality exchange is never classified as argmin/argmax).
-fn ord_pred<T: PartialOrd>(pred: CmpPred, a: T, b: T) -> bool {
-    match pred {
-        CmpPred::Lt => a < b,
-        CmpPred::Le => a <= b,
-        CmpPred::Gt => a > b,
-        CmpPred::Ge => a >= b,
-        CmpPred::Eq | CmpPred::Ne => false,
+    match (a, b) {
+        (Obj::I(a), Obj::I(b)) => holds(pred, a[0], b[0]),
+        (Obj::F(a), Obj::F(b)) => holds(pred, a[0], b[0]),
+        _ => panic!("arg cell type mismatch"),
     }
 }
 
-/// The per-piece upper bound: interior pieces stop exactly at the next
-/// piece's start; the final piece uses the true loop bound (so `Le`/`Ge`
-/// predicates include their endpoint).
-fn clamp_hi(plan: &ReductionPlan, piece_hi: i64, true_hi: i64, step: i64, is_last: bool) -> i64 {
-    if is_last {
-        return true_hi;
-    }
-    match plan.pred {
-        gr_ir::CmpPred::Lt | gr_ir::CmpPred::Gt | gr_ir::CmpPred::Ne => piece_hi,
-        // For inclusive predicates the piece must stop one step before
-        // its neighbour's first iteration.
-        gr_ir::CmpPred::Le | gr_ir::CmpPred::Ge => piece_hi - step,
-        gr_ir::CmpPred::Eq => piece_hi,
-    }
-}
-
+/// Merges `from` into `into` element-wise with `op`.
 fn merge_obj(into: &mut Obj, from: &Obj, op: ReductionOp) {
     match (into, from) {
         (Obj::I(a), Obj::I(b)) => {
@@ -1144,7 +892,7 @@ fn merge_obj(into: &mut Obj, from: &Obj, op: ReductionOp) {
                 *x = op.merge_float(*x, *y);
             }
         }
-        _ => panic!("histogram element type mismatch"),
+        _ => panic!("element type mismatch"),
     }
 }
 
@@ -2396,7 +2144,7 @@ mod tests {
 
     #[test]
     fn completed_prefix_stops_at_gap_hit_and_trap() {
-        let out = |chunk: usize, hit: i64| ChunkOut { chunk, hit, exits: vec![], folds: vec![] };
+        let out = |chunk: usize, hit: i64| (chunk, vec![Obj::I(vec![hit])]);
         // Clean prefix below the trapped chunk.
         let outs = vec![out(0, SEARCH_NO_HIT), out(1, SEARCH_NO_HIT), out(3, SEARCH_NO_HIT)];
         assert_eq!(completed_prefix(&outs, 2), 2, "stops at the trapped chunk");
@@ -2436,28 +2184,6 @@ mod tests {
                 .call("sum_until", &[RtVal::ptr(a), RtVal::I(-1), RtVal::I(claimed)])
                 .expect_err("parallel trap");
             assert_eq!(err.to_string(), seq_err.to_string(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn even_bisection_knob_still_works() {
-        // front_ramp off: the legacy even split, same results.
-        let m = compile(SUM_UNTIL_INT).unwrap();
-        let rs = detect_reductions(&m);
-        let (pm, mut plan) = parallelize(&m, "sum_until", &rs).unwrap();
-        plan.chunking = crate::plan::ChunkPolicy {
-            chunks_per_worker: 4,
-            front_ramp: false,
-            ..crate::plan::ChunkPolicy::default()
-        };
-        let mut data: Vec<i64> = vec![2; 10_000];
-        data[7_777] = -1;
-        for threads in [1usize, 3, 8] {
-            assert_eq!(
-                run_fold_int(&pm, &plan, &data, -1, threads),
-                2 * 7_777,
-                "threads={threads}"
-            );
         }
     }
 }

@@ -16,7 +16,7 @@ use gr_interp::machine::Machine;
 use gr_interp::memory::Memory;
 use gr_interp::RtVal;
 use gr_parallel::parallelize;
-use gr_parallel::runtime::{bisect, handler, ramped};
+use gr_parallel::runtime::{handler, plan_chunks};
 use gr_trace::MetricsSnapshot;
 
 const FIND_FIRST: &str = "int find(int* a, int x, int n) {
@@ -28,13 +28,16 @@ const FIND_FIRST: &str = "int find(int* a, int x, int n) {
      }";
 
 /// Runs the full pipeline (detect → outline → parallel execution) under a
-/// trace session and returns the search result plus the session's trace.
-fn traced_search_run(data: &[i64], x: i64, threads: usize) -> (i64, gr_trace::Trace) {
+/// trace session. Returns the search result, the session's trace and the
+/// number of chunks [`plan_chunks`] plans for the run: the closed form
+/// the counters must reproduce.
+fn traced_search_run(data: &[i64], x: i64, threads: usize) -> (i64, gr_trace::Trace, i64) {
     let m = compile(FIND_FIRST).unwrap();
     let guard = gr_trace::start();
     let rs = detect_reductions(&m);
     let (pm, plan) = parallelize(&m, "find", &rs).unwrap();
     assert!(plan.search.is_some());
+    let planned = plan_chunks(&plan, data.len() as i64, threads).len() as i64;
     let mut mem = Memory::new(&pm);
     let a = mem.alloc_int(data);
     let mut machine = Machine::new(&pm, mem);
@@ -44,19 +47,7 @@ fn traced_search_run(data: &[i64], x: i64, threads: usize) -> (i64, gr_trace::Tr
         .unwrap()
         .unwrap()
         .as_i();
-    (got, guard.finish())
-}
-
-/// The chunk count [`gr_parallel::runtime`] plans for a search of `count`
-/// iterations — the closed form the counters must reproduce.
-fn planned_chunks(count: i64, threads: usize) -> i64 {
-    let m = compile(FIND_FIRST).unwrap();
-    let rs = detect_reductions(&m);
-    let (_, plan) = parallelize(&m, "find", &rs).unwrap();
-    let target = (threads.max(1) * plan.chunking.chunks_per_worker.max(1)).min(count as usize);
-    let pieces =
-        if plan.chunking.front_ramp { ramped(count, target) } else { bisect(count, target) };
-    pieces.len() as i64
+    (got, guard.finish(), planned)
 }
 
 #[test]
@@ -67,8 +58,8 @@ fn no_hit_search_counters_are_deterministic_per_thread_count() {
     // determinism CI gates on.
     let data = vec![1i64; 5000];
     for threads in gr_parallel::test_thread_counts() {
-        let (r1, t1) = traced_search_run(&data, 7, threads);
-        let (r2, t2) = traced_search_run(&data, 7, threads);
+        let (r1, t1, planned) = traced_search_run(&data, 7, threads);
+        let (r2, t2, _) = traced_search_run(&data, 7, threads);
         assert_eq!(r1, 5000);
         assert_eq!(r2, 5000);
         assert_eq!(
@@ -76,7 +67,6 @@ fn no_hit_search_counters_are_deterministic_per_thread_count() {
             t2.snapshot().render_json(),
             "byte-identical snapshots for repeated runs at threads={threads}"
         );
-        let planned = planned_chunks(data.len() as i64, threads);
         for name in [
             "runtime.chunks_planned",
             "runtime.token_polls",
@@ -100,8 +90,8 @@ fn single_thread_hit_run_is_byte_deterministic() {
     let data: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 10007).collect();
     let x = data[2 * n / 3];
     let expect = data.iter().position(|&v| v == x).unwrap() as i64;
-    let (r1, t1) = traced_search_run(&data, x, 1);
-    let (r2, t2) = traced_search_run(&data, x, 1);
+    let (r1, t1, _) = traced_search_run(&data, x, 1);
+    let (r2, t2, _) = traced_search_run(&data, x, 1);
     assert_eq!(r1, expect);
     assert_eq!(r2, expect);
     let s1: MetricsSnapshot = t1.snapshot();
@@ -127,8 +117,8 @@ fn histograms_are_byte_deterministic_per_thread_count() {
     // recorded what.
     let data = vec![1i64; 5000];
     for threads in gr_parallel::test_thread_counts() {
-        let (_, t1) = traced_search_run(&data, 7, threads);
-        let (_, t2) = traced_search_run(&data, 7, threads);
+        let (_, t1, planned) = traced_search_run(&data, 7, threads);
+        let (_, t2, _) = traced_search_run(&data, 7, threads);
         assert_eq!(
             histogram_digest(&t1),
             histogram_digest(&t2),
@@ -137,7 +127,7 @@ fn histograms_are_byte_deterministic_per_thread_count() {
         // The plan-time chunk-length histogram must account for every
         // planned chunk exactly.
         let lens = t1.histogram("runtime.chunk_len{__chunk_find}").expect("chunk_len recorded");
-        assert_eq!(lens.count as i64, planned_chunks(data.len() as i64, threads));
+        assert_eq!(lens.count as i64, planned);
         assert_eq!(lens.sum, data.len() as i64, "chunk lengths partition the iteration space");
     }
 }
@@ -151,7 +141,7 @@ fn hit_position_histogram_records_sequential_first_hit() {
     let data: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 10007).collect();
     let x = data[2 * n / 3];
     let expect = data.iter().position(|&v| v == x).unwrap() as i64;
-    let (r, t) = traced_search_run(&data, x, 1);
+    let (r, t, _) = traced_search_run(&data, x, 1);
     assert_eq!(r, expect);
     let hits = t.histogram("runtime.hit_pos{__chunk_find}").expect("hit recorded");
     assert_eq!((hits.count, hits.min, hits.max), (1, expect, expect));
@@ -174,7 +164,7 @@ fn persisted_profile_round_trips_into_a_fresh_plan_policy() {
     let n = 9000usize;
     let data: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 10007).collect();
     let x = data[2 * n / 3];
-    let (_, t) = traced_search_run(&data, x, 1);
+    let (_, t, _) = traced_search_run(&data, x, 1);
 
     // Record → persist → reload, byte-identically.
     let profile = gr_trace::profile::HitProfile::from_trace(&t);
@@ -214,7 +204,7 @@ fn detection_side_event_stream_is_thread_count_invariant() {
     let data = vec![1i64; 5000];
     let mut reference: Option<(Vec<(String, gr_trace::Phase)>, i64)> = None;
     for threads in gr_parallel::test_thread_counts() {
-        let (_, trace) = traced_search_run(&data, 7, threads);
+        let (_, trace, _) = traced_search_run(&data, 7, threads);
         let stream: Vec<(String, gr_trace::Phase)> = trace
             .events
             .iter()
