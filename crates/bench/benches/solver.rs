@@ -1,8 +1,7 @@
 //! Solver ablation (paper §3.2 vs §3.3): the naive `values(F)^I`
 //! enumeration against the backtracking DETECT procedure with
-//! constraint-driven candidate generation — and, per idiom, the cost of a
-//! full solve against a `solve_extend` resume from the shared for-loop
-//! prefix (steps before/after prefix sharing).
+//! constraint-driven candidate generation — and the default registry
+//! solved with and without the shared for-loop prefix.
 
 use gr_analysis::Analyses;
 use gr_bench::timing::bench;
@@ -34,22 +33,7 @@ fn main() {
     let analyses = Analyses::new(&m, func);
     let ctx = MatchCtx::new(&m, func, &analyses);
 
-    // Steps per idiom, before (full solve) and after (prefix shared).
     let registry = IdiomRegistry::with_default_idioms();
-    let shared = registry.stats_report(&ctx, true);
-    let unshared = registry.stats_report(&ctx, false);
-    println!("steps per idiom on `{}` (full solve -> prefix extension):", func.name);
-    println!("  for-loop prefix: {} steps, solved once", shared.prefix.steps);
-    for ((name, ext), (_, full)) in shared.per_idiom.iter().zip(&unshared.per_idiom) {
-        println!("  {name:<22} {:>5} -> {:>4}", full.steps, ext.steps);
-    }
-    println!(
-        "  total {} -> {} ({:.2}x fewer)",
-        unshared.total().steps,
-        shared.total().steps,
-        unshared.total().steps as f64 / shared.total().steps.max(1) as f64,
-    );
-
     let spec = small_spec();
     bench("solver/backtracking/3-label", || solve(&spec, &ctx, SolveOptions::default()).0.len());
     bench("solver/naive/3-label", || solve_naive(&spec, &ctx, SolveOptions::default()).0.len());

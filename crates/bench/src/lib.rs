@@ -116,9 +116,8 @@ pub mod stats {
                  }
                  return r;
              }";
-        // Everything from detection on happens inside the session: the
-        // solver counters it records are filtered out below, and pipeline
-        // work never leaks into a session another thread may hold open.
+        // Everything from detection on happens inside the session; the
+        // solver counters it records are filtered out below.
         let guard = gr_trace::start();
         let m = gr_frontend::compile(FIND_FIRST).expect("runtime workload compiles");
         let rs = gr_core::detect_reductions(&m);
@@ -155,12 +154,9 @@ pub mod stats {
     ///
     /// Every probe is fixed (program, data, thread count, fault site), so
     /// the counts are byte-deterministic and CI gates them against the
-    /// baseline exactly like the scheduler counters.
-    ///
-    /// Single-threaded callers only (the figure binaries): the fault
-    /// seams are armed while the trace session is open, the reverse of
-    /// the guard-then-session order the test suites use, which is safe
-    /// only because nothing else contends for either lock here.
+    /// baseline exactly like the scheduler counters. The faults and the
+    /// session belong to the calling thread, so concurrent callers do not
+    /// disturb each other.
     #[must_use]
     pub fn measure_error_counters() -> gr_trace::MetricsSnapshot {
         use gr_interp::{Machine, Memory, RtVal};
@@ -257,7 +253,8 @@ pub mod stats {
         /// in the session (corpus sweep plus the runtime workload kernel)
         /// — must equal [`ProfileArtifacts::legacy_steps`] exactly.
         pub attributed_steps: i64,
-        /// The legacy `SolveStats` ledger total over the same modules.
+        /// The `SolveStats` ledger total of the same sweep: the summed
+        /// `steps_used` of its detection reports.
         pub legacy_steps: usize,
     }
 
@@ -280,12 +277,21 @@ pub mod stats {
              }";
         let modules: Vec<_> =
             corpus().iter().flat_map(|s| suite_programs(*s)).map(|p| p.compile()).collect();
+        // The ledger the attribution must conserve: the steps of every
+        // module detected inside the session — the corpus sweep *and* the
+        // runtime workload kernel.
+        let mut legacy_steps = 0usize;
+        let mut detect = |m| {
+            let reports = gr_core::detect_reductions_budgeted(m, gr_core::DetectBudget::UNLIMITED);
+            legacy_steps += reports.iter().map(|r| r.steps_used).sum::<usize>();
+            reports.into_iter().flat_map(|r| r.reductions).collect::<Vec<_>>()
+        };
         let guard = gr_trace::start();
         for m in &modules {
-            let _ = gr_core::detect_reductions(m);
+            detect(m);
         }
         let fm = gr_frontend::compile(FIND_FIRST).expect("runtime workload compiles");
-        let rs = gr_core::detect_reductions(&fm);
+        let rs = detect(&fm);
         let run = |data: &[i64], x: i64, threads: usize| {
             let (pm, plan) =
                 gr_parallel::parallelize(&fm, "find", &rs).expect("find-first outlines");
@@ -317,16 +323,6 @@ pub mod stats {
             histograms.entry(key).or_insert_with(gr_trace::Histogram::new).merge(h);
         }
         let attr = Attribution::from_trace(&trace);
-        // The ledger the attribution must conserve: every module detected
-        // inside the session — the corpus sweep *and* the runtime
-        // workload kernel.
-        let legacy_steps: usize = modules
-            .iter()
-            .chain(std::iter::once(&fm))
-            .map(|m| {
-                gr_core::detect::detection_stats(m).iter().map(|(_, s)| s.steps).sum::<usize>()
-            })
-            .sum();
         ProfileArtifacts {
             histograms,
             collapsed: attr.collapsed("solver.steps"),

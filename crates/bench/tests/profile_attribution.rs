@@ -3,8 +3,8 @@
 //! collapsed-stack and hit-profile artifacts must be byte-deterministic
 //! across runs, and the persisted hit profile must round-trip.
 //!
-//! Own binary for the same reason as `trace_substrate.rs`: each test
-//! opens a global trace session and the session lock serializes them.
+//! Each test records into a trace session of its own thread, so tests
+//! running side by side never see each other's solver steps.
 //!
 //! [`SolveStats`]: gr_core::solver::SolveStats
 

@@ -2,10 +2,8 @@
 //! `gr-trace` substrate: one counting layer for the legacy [`SolveStats`]
 //! ledger, the CLI, and `BENCH_detection.json`.
 //!
-//! These tests live in their own binary because each opens a global trace
-//! session (the session lock serializes them); pipeline code running in
-//! *other* test binaries executes in other processes and cannot record
-//! into these sessions.
+//! A trace session belongs to the test thread that opens it, so pipeline
+//! code run by any other test records nothing into it.
 //!
 //! [`SolveStats`]: gr_core::solver::SolveStats
 

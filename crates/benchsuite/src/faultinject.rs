@@ -31,9 +31,9 @@
 //! the aggregated `error.*` ledger to `target/fault-ledger/` so CI can
 //! upload what actually fired.
 //!
-//! Lock-order discipline (shared with `crates/parallel/tests/`): the
-//! [`InjectGuard`] is always armed **before** the trace session opens —
-//! both are process-exclusive, and a fixed order cannot deadlock.
+//! The [`InjectGuard`] and the trace session of a case belong to the
+//! thread running it: only the runtime workers that thread spawns see
+//! the armed fault or record into the session.
 
 use std::collections::BTreeMap;
 
@@ -356,7 +356,6 @@ fn runtime_case(
     let mut fired = 0usize;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         for &t in threads {
-            // Lock order: fault seam first, trace session second.
             let fault = arm.map(|f| f());
             let session = gr_trace::start();
             let mut mem = Memory::new(&pm);

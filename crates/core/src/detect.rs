@@ -32,11 +32,12 @@ use std::sync::Arc;
 
 /// Memoized prefix solutions for one function ([`MatchCtx`]): the shared
 /// for-loop sub-problem is solved once and every idiom entry resumes from
-/// it ([`solve_extend`]). Keyed by the prefix's structural fingerprint, so
-/// any family of specs built on the same marked prefix shares — not just
-/// the built-in for-loop. Specs stacking several prefix *instances*
-/// (map-reduce fusion's producer/consumer pair) resume from tuples of the
-/// same cached solutions, so even a two-loop idiom costs one solve here.
+/// it ([`solve_extend`](crate::solver::solve_extend)). Keyed by the
+/// prefix's structural fingerprint, so any family of specs built on the
+/// same marked prefix shares — not just the built-in for-loop. Specs
+/// stacking several prefix *instances* (map-reduce fusion's
+/// producer/consumer pair) resume from tuples of the same cached
+/// solutions, so even a two-loop idiom costs one solve here.
 ///
 /// A cache is only meaningful for a single `MatchCtx`: build one per
 /// function and drop it afterwards (the driver does).

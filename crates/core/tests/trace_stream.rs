@@ -1,8 +1,8 @@
 //! The unified counting substrate: `gr-trace` counters must agree
 //! byte-for-byte with the legacy hand-threaded [`SolveStats`] counters.
 //!
-//! Every test opens a trace session; the global session lock serializes
-//! them, so no other test in this binary records into a foreign session.
+//! Every test opens a trace session on its own thread, so no other test
+//! records into it.
 
 use gr_core::atoms::MatchCtx;
 use gr_core::detect::detection_stats;

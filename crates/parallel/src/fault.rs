@@ -23,35 +23,70 @@
 //! * The seams are consulted **only in the worker claim loops**, never on
 //!   the sequential fallback paths — an injected fault can therefore not
 //!   re-fire while the executor is recovering from it.
-//! * Guards are **exclusive** (a process-wide lock): concurrent tests
-//!   serialize rather than observe each other's faults, and dropping the
-//!   guard disarms any fault that never fired (e.g. a chunk index past
-//!   the schedule).
+//! * An armed fault **belongs to the arming thread**: only plans that
+//!   thread runs hand it to their workers, so a plan another thread runs
+//!   meanwhile never sees it. Dropping the guard disarms any fault that
+//!   never fired (e.g. a chunk index past the schedule).
 //!
 //! The first guard also installs a panic hook that suppresses the default
 //! "thread panicked" stderr report for payloads carrying [`PANIC_PREFIX`]
 //! (anything else is delegated to the previously installed hook), keeping
 //! fault-heavy test logs readable.
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::panic;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Marker prefix of injected panic payloads; the suppression hook and the
 /// containment tests key on it.
 pub const PANIC_PREFIX: &str = "gr-fault:";
 
-/// "Nothing armed" sentinel for the seam atomics.
+/// "Already fired" sentinel for the armed chunk index.
 const NONE: i64 = -1;
 
-/// Chunk index at which the claiming worker panics (`NONE`: disarmed).
-static PANIC_CHUNK: AtomicI64 = AtomicI64::new(NONE);
-/// Chunk index at which the claiming worker aborts the token.
-static ABORT_CHUNK: AtomicI64 = AtomicI64::new(NONE);
+/// The one-shot fault one guard armed, shared with the workers of the
+/// plans its thread runs.
+pub(crate) struct Seams {
+    /// Whether the fault aborts the token (else the worker panics).
+    abort: bool,
+    /// Chunk index at which the claiming worker faults (`NONE`: fired).
+    chunk: AtomicI64,
+}
 
-fn injection_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+thread_local! {
+    static ARMED: RefCell<Option<Arc<Seams>>> = const { RefCell::new(None) };
+}
+
+/// The seams armed on this thread, for the plan about to run on it.
+pub(crate) fn armed() -> Option<Arc<Seams>> {
+    ARMED.with(|a| a.borrow().clone())
+}
+
+impl Seams {
+    /// Consumes the fault iff it is an abort (`abort`) or a panic
+    /// (`!abort`) armed for exactly `chunk`.
+    fn consume(&self, abort: bool, chunk: usize) -> bool {
+        let c = i64::try_from(chunk).unwrap_or(i64::MAX);
+        self.abort == abort
+            && self.chunk.load(Ordering::SeqCst) == c
+            && self.chunk.compare_exchange(c, NONE, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+    }
+
+    /// Worker-loop seam: panics (payload [`PANIC_PREFIX`]) iff a panic is
+    /// armed for exactly `chunk`; one-shot.
+    pub(crate) fn maybe_panic(&self, chunk: usize) {
+        if self.consume(false, chunk) {
+            panic!("{PANIC_PREFIX} injected worker panic at chunk {chunk}");
+        }
+    }
+
+    /// Worker-loop seam: reports `true` (once) iff a token abort is armed
+    /// for exactly `chunk`; the caller performs the abort.
+    pub(crate) fn abort_requested(&self, chunk: usize) -> bool {
+        self.consume(true, chunk)
+    }
 }
 
 fn install_suppression_hook() {
@@ -72,70 +107,50 @@ fn install_suppression_hook() {
     });
 }
 
-/// An armed fault. Exactly one may exist per process at a time; dropping
-/// it disarms whatever has not fired yet.
+/// A fault armed on the calling thread. Dropping it disarms whatever has
+/// not fired yet and restores the fault armed before it, if any; it must
+/// drop on the thread that armed it.
 #[must_use = "the fault stays armed only while the guard lives"]
 pub struct InjectGuard {
-    _lock: MutexGuard<'static, ()>,
+    seams: Arc<Seams>,
+    prev: Option<Arc<Seams>>,
+    _thread: PhantomData<*const ()>,
 }
 
 impl InjectGuard {
-    fn arm(slot: &'static AtomicI64, chunk: i64) -> InjectGuard {
+    fn arm(abort: bool, chunk: i64) -> InjectGuard {
         assert!(chunk >= 0, "chunk indices are non-negative");
-        let lock = injection_lock().lock().unwrap_or_else(PoisonError::into_inner);
         install_suppression_hook();
-        slot.store(chunk, Ordering::SeqCst);
-        InjectGuard { _lock: lock }
+        let seams = Arc::new(Seams { abort, chunk: AtomicI64::new(chunk) });
+        let prev = ARMED.with(|a| a.replace(Some(Arc::clone(&seams))));
+        InjectGuard { seams, prev, _thread: PhantomData }
     }
 
     /// Arms a worker panic: the worker claiming chunk `chunk` (in any
     /// executor pass) panics before running it.
     pub fn panic_at_chunk(chunk: i64) -> InjectGuard {
-        InjectGuard::arm(&PANIC_CHUNK, chunk)
+        InjectGuard::arm(false, chunk)
     }
 
     /// Arms a token abort: the worker claiming chunk `chunk` on the
     /// speculative schedule aborts the cancellation token before running
     /// it. Non-search passes ignore this seam (they have no token).
     pub fn abort_at_chunk(chunk: i64) -> InjectGuard {
-        InjectGuard::arm(&ABORT_CHUNK, chunk)
+        InjectGuard::arm(true, chunk)
     }
 
     /// Whether the armed fault has fired (been consumed) already.
     #[must_use]
     pub fn fired(&self) -> bool {
-        PANIC_CHUNK.load(Ordering::SeqCst) == NONE && ABORT_CHUNK.load(Ordering::SeqCst) == NONE
+        self.seams.chunk.load(Ordering::SeqCst) == NONE
     }
 }
 
 impl Drop for InjectGuard {
     fn drop(&mut self) {
-        PANIC_CHUNK.store(NONE, Ordering::SeqCst);
-        ABORT_CHUNK.store(NONE, Ordering::SeqCst);
+        let prev = self.prev.take();
+        let _ = ARMED.try_with(|a| a.replace(prev));
     }
-}
-
-/// Worker-loop seam: panics (payload [`PANIC_PREFIX`]) iff a panic is
-/// armed for exactly `chunk`; one-shot.
-pub(crate) fn maybe_panic(chunk: usize) {
-    let c = i64::try_from(chunk).unwrap_or(i64::MAX);
-    if PANIC_CHUNK.load(Ordering::SeqCst) == c
-        && PANIC_CHUNK
-            .compare_exchange(c, NONE, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    {
-        panic!("{PANIC_PREFIX} injected worker panic at chunk {chunk}");
-    }
-}
-
-/// Worker-loop seam: reports `true` (once) iff a token abort is armed for
-/// exactly `chunk`; the caller performs the abort.
-pub(crate) fn abort_requested(chunk: usize) -> bool {
-    let c = i64::try_from(chunk).unwrap_or(i64::MAX);
-    ABORT_CHUNK.load(Ordering::SeqCst) == c
-        && ABORT_CHUNK
-            .compare_exchange(c, NONE, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
 }
 
 /// Renders a caught panic payload for error reports: the `String`/`&str`
@@ -156,36 +171,51 @@ mod tests {
     fn seams_are_one_shot_and_disarmed_on_drop() {
         {
             let g = InjectGuard::panic_at_chunk(3);
+            let seams = armed().expect("armed on this thread");
             assert!(!g.fired());
-            maybe_panic(2); // wrong site: nothing happens
+            seams.maybe_panic(2); // wrong site: nothing happens
             assert!(!g.fired());
-            let err = std::panic::catch_unwind(|| maybe_panic(3)).unwrap_err();
+            let err = std::panic::catch_unwind(|| seams.maybe_panic(3)).unwrap_err();
             assert!(panic_message(&*err).starts_with(PANIC_PREFIX));
             assert!(g.fired(), "the fault is consumed by firing");
-            maybe_panic(3); // already consumed: nothing happens
+            seams.maybe_panic(3); // already consumed: nothing happens
         }
-        maybe_panic(3); // guard dropped: disarmed
+        assert!(armed().is_none(), "guard dropped: disarmed");
     }
 
     #[test]
     fn abort_seam_fires_once_at_its_site() {
         let g = InjectGuard::abort_at_chunk(1);
-        assert!(!abort_requested(0));
-        assert!(abort_requested(1));
+        let seams = armed().expect("armed on this thread");
+        assert!(!seams.abort_requested(0));
+        assert!(seams.abort_requested(1));
         assert!(g.fired());
-        assert!(!abort_requested(1), "one-shot");
+        assert!(!seams.abort_requested(1), "one-shot");
         drop(g);
-        assert!(!abort_requested(1));
+        assert!(armed().is_none());
     }
 
     #[test]
-    fn guards_serialize_against_each_other() {
-        // Dropping the first guard must fully disarm before the second
-        // arms; interleaving would deadlock (exclusive lock) or leak.
-        drop(InjectGuard::panic_at_chunk(0));
-        let g = InjectGuard::abort_at_chunk(0);
-        assert_eq!(PANIC_CHUNK.load(Ordering::SeqCst), NONE);
-        drop(g);
+    fn faults_belong_to_the_arming_thread() {
+        let g = InjectGuard::panic_at_chunk(0);
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(armed().is_none(), "another thread sees no fault"));
+        });
+        assert!(armed().is_some());
+        assert!(!g.fired());
+    }
+
+    #[test]
+    fn nested_guards_restore_the_outer_fault() {
+        let outer = InjectGuard::panic_at_chunk(5);
+        {
+            let _inner = InjectGuard::abort_at_chunk(0);
+            assert!(armed().expect("inner armed").abort_requested(0));
+        }
+        let seams = armed().expect("outer armed again");
+        assert!(!seams.abort_requested(0));
+        assert!(std::panic::catch_unwind(|| seams.maybe_panic(5)).is_err());
+        assert!(outer.fired());
     }
 
     #[test]

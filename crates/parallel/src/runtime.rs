@@ -51,6 +51,7 @@
 //! the chunks completed before it are committed and the chunk function
 //! re-runs sequentially from that boundary.
 
+use crate::fault::Seams;
 use crate::overlay::{OverlayMemory, SharedRaw};
 use crate::plan::{ReductionPlan, SearchSlot, WrittenPolicy, ARG_IDX_SENTINEL, SEARCH_NO_HIT};
 use crate::sync::EarlyExitToken;
@@ -316,9 +317,18 @@ impl Call<'_> {
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(self.chunks.len()).max(1);
         let mut out = PoolOut { done: Vec::new(), failed: Vec::new() };
+        // The calling thread's trace session and armed faults reach the
+        // workers only through these two handles.
+        let trace = gr_trace::current();
+        let seams = crate::fault::armed();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| self.work(&next, base, chunk_fn, token, installs)))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _trace = trace.as_ref().map(gr_trace::SessionHandle::join);
+                        self.work(&next, base, chunk_fn, token, seams.as_deref(), installs)
+                    })
+                })
                 .collect();
             for h in handles {
                 let w = h.join().expect("reduction worker died outside panic containment");
@@ -339,6 +349,7 @@ impl Call<'_> {
         base: &Memory,
         chunk_fn: &str,
         token: Option<&EarlyExitToken>,
+        seams: Option<&Seams>,
         installs: &(dyn Fn(usize) -> Vec<(ObjId, Install)> + Sync),
     ) -> PoolOut {
         let mut out = PoolOut { done: Vec::new(), failed: Vec::new() };
@@ -348,7 +359,7 @@ impl Call<'_> {
                 return out;
             }
             if let Some(token) = token {
-                if crate::fault::abort_requested(c) {
+                if seams.is_some_and(|s| s.abort_requested(c)) {
                     token.abort();
                 }
                 gr_trace::counter("runtime.token_polls", 1);
@@ -369,7 +380,9 @@ impl Call<'_> {
             // Contain panics on the worker itself: unwinding out of a
             // scoped thread would abort the whole executor at the join.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                crate::fault::maybe_panic(c);
+                if let Some(seams) = seams {
+                    seams.maybe_panic(c);
+                }
                 run_chunk(self.module, chunk_fn, &args, base, installs(c))
             }));
             match run {

@@ -5,11 +5,10 @@
 //! fallback re-runs the loop in sequential order rather than merging
 //! reassociated partials.
 //!
-//! Lock-order discipline for this binary: tests arm the
-//! [`gr_parallel::fault::InjectGuard`] **before** opening the trace
-//! session — both are process-exclusive, and a fixed order cannot
-//! deadlock. The thread-matrix CI leg runs this file under
-//! `GR_THREADS={2,8}`.
+//! A [`gr_parallel::fault::InjectGuard`] and a trace session both belong
+//! to the test thread that opens them, so tests running side by side
+//! neither fire each other's faults nor count each other's events. The
+//! thread-matrix CI leg runs this file under `GR_THREADS={2,8}`.
 
 use gr_core::detect_reductions;
 use gr_frontend::compile;
@@ -240,4 +239,27 @@ fn unfired_faults_are_disarmed_by_guard_drop() {
     assert_eq!(got, n as i64);
     assert_eq!(trace.counter("runtime.trap_fallbacks"), 0);
     assert_eq!(trace.counter("error{GR004}"), 0);
+}
+
+#[test]
+fn a_fault_armed_on_another_thread_does_not_fire_here() {
+    // While this thread's guard lives, a plan another thread runs must
+    // neither consume the fault nor degrade; the fault then still fires
+    // in the arming thread's own plan.
+    let n = 2000usize;
+    let data: Vec<i64> = (0..n as i64).collect();
+    let fault = InjectGuard::panic_at_chunk(0);
+    let (got, trace) = std::thread::scope(|s| {
+        s.spawn(|| parallel_find(&data, -1, 2))
+            .join()
+            .expect("the other thread's plan runs")
+    });
+    assert_eq!(got, n as i64);
+    assert_eq!(trace.counter("runtime.chunk_panic"), 0);
+    assert_eq!(trace.counter("error{GR004}"), 0);
+    assert!(!fault.fired(), "a plan on another thread consumed the fault");
+    let (got, trace) = parallel_find(&data, -1, 2);
+    assert_eq!(got, n as i64);
+    assert_eq!(trace.counter("runtime.chunk_panic"), 1);
+    assert!(fault.fired());
 }

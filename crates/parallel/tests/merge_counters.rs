@@ -7,10 +7,6 @@
 //! deterministic passes run every chunk whatever the thread count, a
 //! speculative search without a hit never cancels, and a speculative run
 //! with a hit is pinned to one worker, which claims chunks in order.
-//!
-//! This binary holds a single test on purpose: trace sessions are
-//! process-global, so a second test running concurrently could record
-//! into this one's session.
 
 use gr_core::detect_reductions;
 use gr_frontend::compile;

@@ -2,9 +2,9 @@
 //!
 //! The ROADMAP gates scheduling wins on deterministic scheduler-step
 //! counters rather than wall time; these tests pin that property on the
-//! `gr-trace` substrate. Every test opens a trace session, so the global
-//! session lock serializes them against each other — no other test in
-//! this binary records into a foreign session.
+//! `gr-trace` substrate. Every test opens a trace session on its own
+//! thread, and only the runtime workers that thread spawns join it — no
+//! other test records into it.
 //!
 //! The thread-matrix CI leg runs this file under `GR_THREADS={2,8}`
 //! (through [`gr_parallel::test_thread_counts`]), asserting determinism at

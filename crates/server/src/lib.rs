@@ -223,11 +223,14 @@ impl DetectionServer {
             let budget = self.config.budget;
             let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(workers * 4));
             let out: Mutex<Vec<(usize, DetectionReport)>> = Mutex::new(Vec::new());
+            let trace = gr_trace::current();
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     let queue = Arc::clone(&queue);
-                    let out = &out;
+                    let (out, trace) = (&out, &trace);
                     s.spawn(move || {
+                        // First, so the shard's drop still records.
+                        let _trace = trace.as_ref().map(gr_trace::SessionHandle::join);
                         let registry = IdiomRegistry::with_default_idioms();
                         // This worker's PrefixCache shard: owned for the
                         // pool's lifetime, valid per function.

@@ -9,26 +9,23 @@
 //!    program produce the same stream; counters aggregate to the same
 //!    totals. This is what lets CI gate scheduler behaviour on counters
 //!    instead of timings on single-CPU containers.
-//! 2. **Zero cost when off.** Recording is guarded by one relaxed atomic
-//!    load; with the `off` cargo feature the guard becomes a constant
+//! 2. **Zero cost when off.** Recording is guarded by one thread-local
+//!    read; with the `off` cargo feature the guard becomes a constant
 //!    `false` and every instrumented call site is dead-code-eliminated.
 //!
 //! ## Sessions
 //!
 //! Recording happens inside a *session*, started with [`start`] and closed
 //! with [`TraceGuard::finish`], which returns the collected [`Trace`].
-//! Sessions are process-global and mutually exclusive: a second `start`
-//! blocks until the first guard is dropped. Each participating thread gets
-//! its own buffer (in the spirit of `parallel::sync` — a thread only ever
-//! touches its own, so there is no cross-thread contention on the hot
-//! path) and a stable *worker ordinal* assigned on first emission; the
-//! session opener is always worker 0.
-//!
-//! Because the enable flag is global, threads that are not logically part
-//! of the traced operation would also record if they ran pipeline code
-//! concurrently in the same process. Test suites therefore keep all
-//! tracing tests in dedicated files where every test opens a session (the
-//! session lock then serializes them).
+//! A session belongs to the thread that opened it. Another thread records
+//! into it only after joining it: a spawner takes the handle with
+//! [`current`] and each worker calls [`SessionHandle::join`] before its
+//! traced work. Code on any other thread records nothing, so sessions on
+//! different threads run side by side and never see each other's events.
+//! Each participating thread gets its own buffer (in the spirit of
+//! `parallel::sync` — a thread only ever writes its own, so there is no
+//! cross-thread contention on the hot path) and a stable *worker ordinal*
+//! assigned on first emission; the session opener is always worker 0.
 //!
 //! ## Recording API
 //!
@@ -63,7 +60,7 @@ pub mod profile;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Argument value attached to an event.
@@ -289,73 +286,179 @@ impl Histogram {
     }
 }
 
-/// Per-worker span-path state for counter attribution. `path` is the
-/// `';'`-joined names of the spans currently open on this worker; `marks`
-/// remembers the path length before each push so End truncates exactly.
+/// One worker's recording: its event stream, counters, histograms and
+/// span-path attribution. Only the owning thread writes it; the lock is
+/// there for [`live_snapshot`] and the merge at [`TraceGuard::finish`].
 #[derive(Default)]
-struct AttrState {
+struct WorkerBuf {
+    worker: u32,
+    events: Vec<Event>,
+    sums: BTreeMap<String, i64>,
+    maxes: BTreeMap<String, i64>,
+    hists: BTreeMap<String, Histogram>,
+    /// The `';'`-joined names of the spans currently open on this worker.
     path: String,
+    /// The path length before each open span, so End truncates exactly.
     marks: Vec<usize>,
+    /// Un-keyed counter deltas per span path.
     deltas: BTreeMap<String, BTreeMap<&'static str, i64>>,
 }
 
-struct WorkerBuf {
-    worker: u32,
-    events: Mutex<Vec<Event>>,
-    sums: Mutex<BTreeMap<String, i64>>,
-    maxes: Mutex<BTreeMap<String, i64>>,
-    hists: Mutex<BTreeMap<String, Histogram>>,
-    attr: Mutex<AttrState>,
-}
-
 impl WorkerBuf {
-    fn new(worker: u32) -> WorkerBuf {
-        WorkerBuf {
-            worker,
-            events: Mutex::new(Vec::new()),
-            sums: Mutex::new(BTreeMap::new()),
-            maxes: Mutex::new(BTreeMap::new()),
-            hists: Mutex::new(BTreeMap::new()),
-            attr: Mutex::new(AttrState::default()),
-        }
+    fn emit(&mut self, name: &'static str, phase: Phase, args: Vec<(&'static str, ArgVal)>) {
+        let seq = self.events.len() as u64 + 1;
+        self.events.push(Event { name, phase, worker: self.worker, seq, args });
     }
 }
 
-struct SessionState {
-    buffers: Vec<Arc<WorkerBuf>>,
-    next_worker: u32,
+/// A session's worker buffers, in ordinal order.
+#[derive(Default)]
+struct Session {
+    buffers: Mutex<Vec<Arc<Mutex<WorkerBuf>>>>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-static SESSION_TOKEN: Mutex<()> = Mutex::new(());
-static SESSION: Mutex<SessionState> =
-    Mutex::new(SessionState { buffers: Vec::new(), next_worker: 0 });
+impl Session {
+    /// Adds a buffer for the next worker ordinal.
+    fn register(&self) -> Arc<Mutex<WorkerBuf>> {
+        let mut buffers = plock(&self.buffers);
+        let worker = u32::try_from(buffers.len()).expect("fewer than 2^32 workers");
+        let buf = Arc::new(Mutex::new(WorkerBuf { worker, ..WorkerBuf::default() }));
+        buffers.push(Arc::clone(&buf));
+        buf
+    }
+
+    /// Merges the buffers recorded so far into a [`Trace`]: events sorted
+    /// by (worker, seq), sums added, high-water marks maxed, histograms
+    /// bucket-merged, span-path counter attributions summed per (path,
+    /// counter).
+    fn collect(&self) -> Trace {
+        let buffers = plock(&self.buffers).clone();
+        let mut events = Vec::new();
+        let mut sums: BTreeMap<String, i64> = BTreeMap::new();
+        let mut maxes: BTreeMap<String, i64> = BTreeMap::new();
+        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
+        let mut attributed: BTreeMap<String, BTreeMap<String, i64>> = BTreeMap::new();
+        for buf in &buffers {
+            let buf = plock(buf);
+            events.extend(buf.events.iter().cloned());
+            for (k, v) in &buf.sums {
+                *sums.entry(k.clone()).or_insert(0) += *v;
+            }
+            for (k, v) in &buf.maxes {
+                let e = maxes.entry(k.clone()).or_insert(i64::MIN);
+                *e = (*e).max(*v);
+            }
+            for (k, h) in &buf.hists {
+                histograms.entry(k.clone()).or_default().merge(h);
+            }
+            for (path, per) in &buf.deltas {
+                let slot = attributed.entry(path.clone()).or_default();
+                for (c, v) in per {
+                    *slot.entry((*c).to_string()).or_insert(0) += *v;
+                }
+            }
+        }
+        events.sort_by_key(|e| (e.worker, e.seq));
+        let mut counters = sums;
+        for (k, v) in maxes {
+            let e = counters.entry(k).or_insert(i64::MIN);
+            *e = (*e).max(v);
+        }
+        Trace { events, counters, histograms, attributed }
+    }
+}
+
+/// A thread's membership in a session: the session, and the thread's own
+/// buffer once it has emitted.
+struct Member {
+    session: Arc<Session>,
+    buf: Option<Arc<Mutex<WorkerBuf>>>,
+}
 
 thread_local! {
-    static TLS_BUF: RefCell<Option<(u64, Arc<WorkerBuf>)>> = const { RefCell::new(None) };
+    static MEMBER: RefCell<Option<Member>> = const { RefCell::new(None) };
 }
 
 fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Whether a trace session is currently recording. One relaxed atomic
-/// load; a constant `false` under the `off` feature. Instrumented code may
+/// Runs `f` on this thread's buffer, registering the thread as its
+/// session's next worker on first use. A no-op outside a session.
+fn with_buf(f: impl FnOnce(&mut WorkerBuf)) {
+    if cfg!(feature = "off") {
+        return;
+    }
+    let _ = MEMBER.try_with(|m| {
+        if let Some(member) = m.borrow_mut().as_mut() {
+            let buf = member.buf.get_or_insert_with(|| member.session.register());
+            f(&mut plock(buf));
+        }
+    });
+}
+
+/// Whether this thread records into a trace session: one thread-local
+/// read; a constant `false` under the `off` feature. Instrumented code may
 /// use this to skip argument construction entirely.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "off") {
-        return false;
-    }
-    ENABLED.load(Ordering::Relaxed)
+    !cfg!(feature = "off") && MEMBER.try_with(|m| m.borrow().is_some()).unwrap_or(false)
 }
 
-/// Exclusive handle on the active trace session. Dropping it (or calling
-/// [`TraceGuard::finish`]) stops recording; only `finish` yields the
-/// collected [`Trace`].
+/// A handle on the session this thread records into, for the workers it
+/// spawns. Obtain via [`current`]; each worker calls
+/// [`SessionHandle::join`].
+#[derive(Clone)]
+pub struct SessionHandle(Arc<Session>);
+
+impl SessionHandle {
+    /// Records the calling thread into the session until the guard drops.
+    /// Take it first in a worker closure, so the worker's locals still
+    /// record when they drop.
+    pub fn join(&self) -> JoinGuard {
+        JoinGuard::enter(Member { session: Arc::clone(&self.0), buf: None })
+    }
+}
+
+/// The session this thread records into — `None` outside a session and
+/// under the `off` feature.
+#[must_use]
+pub fn current() -> Option<SessionHandle> {
+    if !enabled() {
+        return None;
+    }
+    MEMBER.with(|m| m.borrow().as_ref().map(|m| SessionHandle(Arc::clone(&m.session))))
+}
+
+/// A thread's membership in a session (see [`SessionHandle::join`]).
+/// Dropping it restores whatever session the thread recorded into before,
+/// so guards nest; it must drop on the thread that took it.
+#[must_use = "the thread records into the session only while the guard lives"]
+pub struct JoinGuard {
+    prev: Option<Member>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl JoinGuard {
+    fn enter(member: Member) -> JoinGuard {
+        let prev = MEMBER.with(|m| m.replace(Some(member)));
+        JoinGuard { prev, _thread: PhantomData }
+    }
+}
+
+impl Drop for JoinGuard {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        let _ = MEMBER.try_with(|m| m.replace(prev));
+    }
+}
+
+/// Handle on a trace session opened by this thread. Dropping it (or
+/// calling [`TraceGuard::finish`]) stops recording; only `finish` yields
+/// the collected [`Trace`].
 pub struct TraceGuard {
-    _token: Option<MutexGuard<'static, ()>>,
+    session: Arc<Session>,
+    _member: JoinGuard,
 }
 
 impl TraceGuard {
@@ -363,130 +466,30 @@ impl TraceGuard {
     /// (worker, seq), counters merged across workers (sums added,
     /// high-water marks maxed).
     pub fn finish(self) -> Trace {
-        if cfg!(feature = "off") {
-            return Trace::empty();
-        }
-        ENABLED.store(false, Ordering::SeqCst);
-        let buffers = {
-            let mut s = plock(&SESSION);
-            s.next_worker = 0;
-            std::mem::take(&mut s.buffers)
-        };
-        collect(&buffers)
-        // the session token drops here, releasing exclusivity
+        self.session.collect()
     }
 }
 
-/// Merges worker buffers into a [`Trace`]: events sorted by (worker, seq),
-/// sums added, high-water marks maxed, histograms bucket-merged, span-path
-/// counter attributions summed per (path, counter).
-fn collect(buffers: &[Arc<WorkerBuf>]) -> Trace {
-    let mut events = Vec::new();
-    let mut sums: BTreeMap<String, i64> = BTreeMap::new();
-    let mut maxes: BTreeMap<String, i64> = BTreeMap::new();
-    let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-    let mut attributed: BTreeMap<String, BTreeMap<String, i64>> = BTreeMap::new();
-    for buf in buffers {
-        events.extend(plock(&buf.events).iter().cloned());
-        for (k, v) in plock(&buf.sums).iter() {
-            *sums.entry(k.clone()).or_insert(0) += *v;
-        }
-        for (k, v) in plock(&buf.maxes).iter() {
-            let e = maxes.entry(k.clone()).or_insert(i64::MIN);
-            *e = (*e).max(*v);
-        }
-        for (k, h) in plock(&buf.hists).iter() {
-            histograms.entry(k.clone()).or_default().merge(h);
-        }
-        for (path, per) in plock(&buf.attr).deltas.iter() {
-            let slot = attributed.entry(path.clone()).or_default();
-            for (c, v) in per {
-                *slot.entry((*c).to_string()).or_insert(0) += *v;
-            }
-        }
-    }
-    events.sort_by_key(|e| (e.worker, e.seq));
-    let mut counters = sums;
-    for (k, v) in maxes {
-        let e = counters.entry(k).or_insert(i64::MIN);
-        *e = (*e).max(v);
-    }
-    Trace { events, counters, histograms, attributed }
-}
-
-/// Clones the state of the *live* session into a [`Trace`] without ending
-/// it — `None` when no session is recording (or under the `off` feature).
-/// Used by failure paths (e.g. fuzz repro artifacts) that want to dump the
-/// event stream leading up to a mismatch while the session keeps running.
+/// Clones the state of this thread's *live* session into a [`Trace`]
+/// without ending it — `None` when the thread records into no session (or
+/// under the `off` feature). Used by failure paths (e.g. fuzz repro
+/// artifacts) that want to dump the event stream leading up to a mismatch
+/// while the session keeps running.
 #[must_use]
 pub fn live_snapshot() -> Option<Trace> {
-    if !enabled() {
-        return None;
-    }
-    let buffers: Vec<Arc<WorkerBuf>> = plock(&SESSION).buffers.clone();
-    Some(collect(&buffers))
+    current().map(|s| s.0.collect())
 }
 
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        if !cfg!(feature = "off") {
-            ENABLED.store(false, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Starts a trace session, blocking until any previous session's guard is
-/// dropped. The calling thread is registered as worker 0.
+/// Opens a trace session owned by the calling thread, which records into
+/// it as worker 0 until the guard drops. Other threads record into it only
+/// after joining it (see [`current`]). A session opened while the thread
+/// already records suspends the outer one until this guard drops.
 pub fn start() -> TraceGuard {
-    if cfg!(feature = "off") {
-        return TraceGuard { _token: None };
-    }
-    let token = SESSION_TOKEN.lock().unwrap_or_else(PoisonError::into_inner);
-    {
-        let mut s = plock(&SESSION);
-        s.buffers.clear();
-        s.next_worker = 0;
-    }
-    EPOCH.fetch_add(1, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
+    let session = Arc::new(Session::default());
     // Register the opener eagerly so it is always worker 0.
-    let _ = current_buf();
-    TraceGuard { _token: Some(token) }
-}
-
-fn current_buf() -> Option<Arc<WorkerBuf>> {
-    if !enabled() {
-        return None;
-    }
-    let epoch = EPOCH.load(Ordering::SeqCst);
-    TLS_BUF.with(|slot| {
-        {
-            let cached = slot.borrow();
-            if let Some((e, buf)) = cached.as_ref() {
-                if *e == epoch {
-                    return Some(Arc::clone(buf));
-                }
-            }
-        }
-        let mut s = plock(&SESSION);
-        if !enabled() {
-            return None;
-        }
-        let buf = Arc::new(WorkerBuf::new(s.next_worker));
-        s.next_worker += 1;
-        s.buffers.push(Arc::clone(&buf));
-        drop(s);
-        *slot.borrow_mut() = Some((epoch, Arc::clone(&buf)));
-        Some(buf)
-    })
-}
-
-fn emit(name: &'static str, phase: Phase, args: Vec<(&'static str, ArgVal)>) {
-    if let Some(buf) = current_buf() {
-        let mut events = plock(&buf.events);
-        let seq = events.len() as u64 + 1;
-        events.push(Event { name, phase, worker: buf.worker, seq, args });
-    }
+    let buf = Some(session.register());
+    let member = JoinGuard::enter(Member { session: Arc::clone(&session), buf });
+    TraceGuard { session, _member: member }
 }
 
 /// RAII span: emits a Begin event on creation (when recording) and the
@@ -498,15 +501,12 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(name) = self.name {
-            if enabled() {
-                emit(name, Phase::End, Vec::new());
-                if let Some(buf) = current_buf() {
-                    let mut attr = plock(&buf.attr);
-                    if let Some(mark) = attr.marks.pop() {
-                        attr.path.truncate(mark);
-                    }
+            with_buf(|b| {
+                b.emit(name, Phase::End, Vec::new());
+                if let Some(mark) = b.marks.pop() {
+                    b.path.truncate(mark);
                 }
-            }
+            });
         }
     }
 }
@@ -523,25 +523,20 @@ pub fn span_with(name: &'static str, args: Vec<(&'static str, ArgVal)>) -> Span 
     if !enabled() {
         return Span { name: None };
     }
-    emit(name, Phase::Begin, args);
-    if let Some(buf) = current_buf() {
-        let mut attr = plock(&buf.attr);
-        let mark = attr.path.len();
-        attr.marks.push(mark);
-        if !attr.path.is_empty() {
-            attr.path.push(';');
+    with_buf(|b| {
+        b.emit(name, Phase::Begin, args);
+        b.marks.push(b.path.len());
+        if !b.path.is_empty() {
+            b.path.push(';');
         }
-        attr.path.push_str(name);
-    }
+        b.path.push_str(name);
+    });
     Span { name: Some(name) }
 }
 
 /// Emits an instantaneous event with arguments.
 pub fn instant(name: &'static str, args: Vec<(&'static str, ArgVal)>) {
-    if !enabled() {
-        return;
-    }
-    emit(name, Phase::Instant, args);
+    with_buf(|b| b.emit(name, Phase::Instant, args));
 }
 
 /// Adds `delta` to the summed counter `name` on the current worker.
@@ -550,43 +545,30 @@ pub fn instant(name: &'static str, args: Vec<(&'static str, ArgVal)>) {
 /// [`Trace::attributed`]), so attribution totals reconcile exactly with
 /// the flat counter by construction.
 pub fn counter(name: &'static str, delta: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        *plock(&buf.sums).entry(name.to_string()).or_insert(0) += delta;
-        let state = &mut *plock(&buf.attr);
-        if !state.deltas.contains_key(state.path.as_str()) {
-            state.deltas.insert(state.path.clone(), BTreeMap::new());
+    with_buf(|b| {
+        *b.sums.entry(name.to_string()).or_insert(0) += delta;
+        if !b.deltas.contains_key(b.path.as_str()) {
+            b.deltas.insert(b.path.clone(), BTreeMap::new());
         }
-        let per = state.deltas.get_mut(state.path.as_str()).expect("path slot just ensured");
+        let per = b.deltas.get_mut(b.path.as_str()).expect("path slot just ensured");
         *per.entry(name).or_insert(0) += delta;
-    }
+    });
 }
 
 /// Adds `delta` to the keyed counter `name{key}` — e.g.
 /// `counter_keyed("solver.prunes", "Dominates", 1)` records under
 /// `solver.prunes{Dominates}`.
 pub fn counter_keyed(name: &'static str, key: &str, delta: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        *plock(&buf.sums).entry(format!("{name}{{{key}}}")).or_insert(0) += delta;
-    }
+    with_buf(|b| *b.sums.entry(format!("{name}{{{key}}}")).or_insert(0) += delta);
 }
 
 /// Raises the high-water-mark counter `name` to at least `value` (merged
 /// across workers by max).
 pub fn counter_max(name: &'static str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        let mut maxes = plock(&buf.maxes);
-        let e = maxes.entry(name.to_string()).or_insert(i64::MIN);
+    with_buf(|b| {
+        let e = b.maxes.entry(name.to_string()).or_insert(i64::MIN);
         *e = (*e).max(value);
-    }
+    });
 }
 
 /// Records one sample into the log2-bucketed histogram `name` on the
@@ -594,29 +576,20 @@ pub fn counter_max(name: &'static str, value: i64) {
 /// [`TraceGuard::finish`], so the merged result is byte-deterministic for
 /// a deterministic sample multiset regardless of worker interleaving.
 pub fn histogram(name: &'static str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        plock(&buf.hists).entry(name.to_string()).or_default().record(value);
-    }
+    with_buf(|b| b.hists.entry(name.to_string()).or_default().record(value));
 }
 
 /// Records one sample into the keyed histogram `name{key}` — e.g.
 /// `histogram_keyed("runtime.hit_pos", "find_first", 3000)` records under
 /// `runtime.hit_pos{find_first}`.
 pub fn histogram_keyed(name: &'static str, key: &str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        plock(&buf.hists).entry(format!("{name}{{{key}}}")).or_default().record(value);
-    }
+    with_buf(|b| b.hists.entry(format!("{name}{{{key}}}")).or_default().record(value));
 }
 
 /// The result of a trace session: the ordered event stream plus the merged
-/// counter map.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// counter map. The default is the empty trace a session under the `off`
+/// feature yields.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     /// All events, sorted by (worker, seq).
     pub events: Vec<Event>,
@@ -633,17 +606,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// An empty trace (what a session under the `off` feature yields).
-    #[must_use]
-    pub fn empty() -> Trace {
-        Trace {
-            events: Vec::new(),
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            attributed: BTreeMap::new(),
-        }
-    }
-
     /// The merged histogram `name`, if any samples were recorded.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
@@ -965,9 +927,11 @@ mod tests {
     fn workers_get_stable_ordinals_and_merged_counters() {
         let guard = start();
         counter("c", 1);
+        let session = current().expect("session open");
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
+                    let _joined = session.join();
                     counter("c", 10);
                     instant("worker.tick", Vec::new());
                 });
@@ -997,6 +961,57 @@ mod tests {
         let t2 = g2.finish();
         assert_eq!(t1.counter("x"), 5);
         assert_eq!(t2.counter("x"), 7);
+    }
+
+    #[test]
+    fn threads_that_have_not_joined_record_nothing() {
+        let guard = start();
+        counter("c", 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!enabled());
+                assert!(current().is_none());
+                counter("c", 100);
+                instant("stray", Vec::new());
+            });
+        });
+        let trace = guard.finish();
+        assert_eq!(trace.counter("c"), 1);
+        assert_eq!(trace.events_named("stray").count(), 0);
+    }
+
+    #[test]
+    fn concurrent_sessions_on_other_threads_collect_only_their_own() {
+        // Both sessions stay open while the other records, so neither may
+        // block the other's `start` or see its counters.
+        let barrier = std::sync::Barrier::new(2);
+        let run = |delta: i64| {
+            let guard = start();
+            counter("c", delta);
+            barrier.wait();
+            counter("c", delta);
+            barrier.wait();
+            guard.finish()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(1));
+            let b = s.spawn(|| run(1000));
+            (a.join().expect("session a"), b.join().expect("session b"))
+        });
+        assert_eq!(a.counter("c"), 2);
+        assert_eq!(b.counter("c"), 2000);
+    }
+
+    #[test]
+    fn nested_sessions_suspend_and_resume_the_outer_one() {
+        let outer = start();
+        counter("c", 1);
+        let inner = start();
+        counter("c", 10);
+        assert_eq!(inner.finish().counter("c"), 10);
+        counter("c", 100);
+        assert_eq!(outer.finish().counter("c"), 101);
+        assert!(!enabled());
     }
 
     #[test]
@@ -1082,9 +1097,12 @@ mod tests {
             let guard = start();
             histogram("h", 7);
             histogram_keyed("h.by", "site", 2);
+            let session = current().expect("session open");
             std::thread::scope(|s| {
                 for t in 0..4 {
+                    let session = &session;
                     s.spawn(move || {
+                        let _joined = session.join();
                         histogram("h", t * 10);
                         histogram_keyed("h.by", "site", t);
                     });
@@ -1162,8 +1180,12 @@ mod tests {
             counter_keyed("solver.prunes", "Dominates", 3);
             counter_keyed("solver.prunes", "ReadsBefore", 4);
         }
+        let session = current().expect("session open");
         std::thread::scope(|s| {
-            s.spawn(|| instant("worker.tick", Vec::new()));
+            s.spawn(|| {
+                let _joined = session.join();
+                instant("worker.tick", Vec::new());
+            });
         });
         let trace = guard.finish();
         let json = trace.chrome_json();

@@ -57,6 +57,31 @@ fn prop_batch_is_byte_identical_to_sequential_on_every_worker_count() {
 }
 
 #[test]
+fn traced_batch_records_the_same_solver_ledger_as_the_sequential_driver() {
+    // The pool's workers join the caller's trace session, so a traced
+    // batch counts every cold solve, whichever worker ran it.
+    let modules = corpus_modules(40);
+    let ledger = |trace: gr_trace::Trace| -> Vec<(String, i64)> {
+        trace
+            .counters
+            .into_iter()
+            .filter(|(k, _)| k == "solver.steps" || k.starts_with("detect.reports{"))
+            .collect()
+    };
+    let guard = gr_trace::start();
+    let _ = detect_sequential(&modules, DetectBudget::UNLIMITED);
+    let seq = ledger(guard.finish());
+    let guard = gr_trace::start();
+    let batch =
+        DetectionServer::new(ServeConfig { jobs: 2, ..ServeConfig::default() }).run_batch(&modules);
+    let par = ledger(guard.finish());
+    assert_eq!(batch.summary.cold_solves, batch.summary.functions);
+    assert!(seq.iter().any(|(k, v)| k == "solver.steps" && *v > 0), "{seq:?}");
+    assert!(seq.iter().any(|(k, v)| k.starts_with("detect.reports{") && *v > 0), "{seq:?}");
+    assert_eq!(par, seq);
+}
+
+#[test]
 fn prop_degraded_batches_stay_deterministic_across_worker_counts() {
     // A starvation budget degrades some solves — under the trie search
     // most corpus functions solve by forced moves alone, so only the
