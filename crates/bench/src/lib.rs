@@ -61,7 +61,7 @@ pub mod stats {
     /// Measures one suite with the default registry.
     #[must_use]
     pub fn measure_suite_stats(suite: Suite) -> SuiteStats {
-        let registry = IdiomRegistry::with_default_idioms();
+        let registry = IdiomRegistry::shared_default();
         let programs = suite_programs(suite);
         let modules: Vec<_> = programs.iter().map(|p| p.compile()).collect();
         let mut out = SuiteStats {

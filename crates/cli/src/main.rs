@@ -565,7 +565,7 @@ fn main() -> ExitCode {
                             _ => return usage(),
                         }
                     }
-                    let registry = gr_core::IdiomRegistry::with_default_idioms();
+                    let registry = gr_core::IdiomRegistry::shared_default();
                     let mut total_shared = 0usize;
                     let mut total_unshared = 0usize;
                     let mut rs: Vec<gr_core::Reduction> = Vec::new();

@@ -101,6 +101,12 @@ impl PrefixInfo {
 }
 
 /// A named idiom specification: labels plus the constraint predicate.
+///
+/// [`SpecBuilder::finish`] also derives, once, what the solver would
+/// otherwise recompute on every solve: the interchangeable label pairs and
+/// the standalone prefix sub-spec. Both are read through accessors and
+/// describe the public fields as `finish` left them: editing those fields
+/// afterwards does not update them, so build a new spec instead.
 #[derive(Debug, Clone)]
 pub struct Spec {
     /// Idiom name (for reports).
@@ -111,9 +117,40 @@ pub struct Spec {
     pub root: Constraint,
     /// The shared sub-specification prefix, when one was marked.
     pub prefix: Option<PrefixInfo>,
+    /// Interchangeable label pairs past the prefix (see
+    /// [`Spec::symmetric_pairs`]).
+    symmetric: Vec<(usize, usize)>,
+    /// The standalone prefix sub-spec (see [`Spec::prefix_spec`]).
+    prefix_spec: Option<Box<Spec>>,
 }
 
 impl Spec {
+    /// Assembles a spec and derives its symmetric label pairs and prefix
+    /// sub-spec.
+    fn derive(
+        name: String,
+        label_names: Vec<String>,
+        root: Constraint,
+        prefix: Option<PrefixInfo>,
+    ) -> Spec {
+        let mut spec =
+            Spec { name, label_names, root, prefix, symmetric: Vec::new(), prefix_spec: None };
+        // Pairs straddling or inside a marked prefix are excluded: the
+        // solver pins the prefix labels on both the full and the resumed
+        // path.
+        let from = prefix.map_or(0, |p| p.total_labels());
+        spec.symmetric = crate::solver::symmetric_pairs(&spec, from);
+        spec.prefix_spec = prefix.map(|p| {
+            Box::new(Spec::derive(
+                format!("{}::prefix", spec.name),
+                spec.label_names[..p.labels].to_vec(),
+                Constraint::And(spec.conjuncts()[..p.conjuncts].to_vec()),
+                None,
+            ))
+        });
+        spec
+    }
+
     /// Number of labels.
     #[must_use]
     pub fn arity(&self) -> usize {
@@ -132,16 +169,19 @@ impl Spec {
     /// The standalone specification of the marked prefix, or `None` when
     /// the spec has no prefix. Solving it yields exactly the partial
     /// assignments [`solve_extend`](crate::solver::solve_extend) resumes
-    /// from.
+    /// from. Built once, by [`SpecBuilder::finish`].
     #[must_use]
-    pub fn prefix_spec(&self) -> Option<Spec> {
-        let p = self.prefix?;
-        Some(Spec {
-            name: format!("{}::prefix", self.name),
-            label_names: self.label_names[..p.labels].to_vec(),
-            root: Constraint::And(self.conjuncts()[..p.conjuncts].to_vec()),
-            prefix: None,
-        })
+    pub fn prefix_spec(&self) -> Option<&Spec> {
+        self.prefix_spec.as_deref()
+    }
+
+    /// Interchangeable label pairs `(lo, hi)`, `lo < hi`, both past the
+    /// marked prefix: the solution set is closed under swapping their
+    /// values, so the solver keeps only `asg[lo] <= asg[hi]`. Derived once,
+    /// by [`SpecBuilder::finish`]; empty for every built-in spec.
+    #[must_use]
+    pub fn symmetric_pairs(&self) -> &[(usize, usize)] {
+        &self.symmetric
     }
 
     /// The label with the given name.
@@ -252,7 +292,8 @@ impl SpecBuilder {
         self
     }
 
-    /// Finalizes the specification.
+    /// Finalizes the specification and derives its symmetric label pairs
+    /// and prefix sub-spec.
     ///
     /// # Panics
     /// Panics when stacked prefix instances are not structurally identical
@@ -290,12 +331,7 @@ impl SpecBuilder {
                 fingerprint: fingerprint(&self.label_names[..labels], &self.conjuncts[..conjuncts]),
             }
         });
-        Spec {
-            name: self.name,
-            label_names: self.label_names,
-            root: Constraint::And(self.conjuncts),
-            prefix,
-        }
+        Spec::derive(self.name, self.label_names, Constraint::And(self.conjuncts), prefix)
     }
 }
 

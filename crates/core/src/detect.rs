@@ -4,8 +4,9 @@
 //! builds a [`MatchCtx`] and hands it to the registry, which solves each
 //! registered specification, deduplicates solutions, applies the idiom's
 //! post-check hook and report classifier, and runs its finalize pass (see
-//! [`crate::spec::registry`]). [`detect_reductions`] uses the default
-//! registry (scalar, histogram, scan, argmin/argmax); [`detect_with`]
+//! [`crate::spec::registry`]). [`detect_reductions`] uses the ten default
+//! idioms through the process-wide
+//! [`IdiomRegistry::shared_default`], built on first use; [`detect_with`]
 //! accepts any registry, which is how downstream users plug in new idioms
 //! without touching this crate.
 //!
@@ -191,7 +192,7 @@ impl PrefixCache {
         let name = pspec.name.clone();
         let _sp = gr_trace::enabled()
             .then(|| gr_trace::span_with("prefix", vec![("prefix", name.as_str().into())]));
-        let (solutions, stats) = solve(&pspec, ctx, opts);
+        let (solutions, stats) = solve(pspec, ctx, opts);
         if gr_trace::enabled() {
             gr_trace::counter_keyed("prefix_cache.solves", &name, 1);
             gr_trace::counter_keyed("prefix_cache.solutions", &name, solutions.len() as i64);
@@ -277,7 +278,7 @@ pub fn solve_with_cache(
 /// Detects all reductions of the default idioms in a module.
 #[must_use]
 pub fn detect_reductions(module: &Module) -> Vec<Reduction> {
-    detect_with(&IdiomRegistry::with_default_idioms(), module)
+    detect_with(IdiomRegistry::shared_default(), module)
 }
 
 /// Detects reductions with a caller-supplied idiom registry.
@@ -301,14 +302,14 @@ pub fn detect_in_function(
     analyses: &Analyses,
 ) -> Vec<Reduction> {
     let ctx = MatchCtx::new(module, func, analyses);
-    IdiomRegistry::with_default_idioms().detect_in_function(&ctx)
+    IdiomRegistry::shared_default().detect_in_function(&ctx)
 }
 
 /// Cumulative solver statistics per function across all registered idioms
 /// (used by benchmarks).
 #[must_use]
 pub fn detection_stats(module: &Module) -> Vec<(String, SolveStats)> {
-    let registry = IdiomRegistry::with_default_idioms();
+    let registry = IdiomRegistry::shared_default();
     let mut out = Vec::new();
     for func in &module.functions {
         let analyses = Analyses::new(module, func);
@@ -326,8 +327,8 @@ mod budget {
 
     /// Deterministic step budgets for one detection run. Budgets are
     /// counted in solver backtracking **steps** — never wall-clock — so
-    /// a budgeted run degrades identically on every machine (CI is
-    /// single-CPU; timers would make degradation nondeterministic).
+    /// a budgeted run degrades identically on every machine (timers
+    /// would make degradation depend on machine load).
     ///
     /// [`DetectBudget::UNLIMITED`] leaves the solver's own defensive
     /// defaults ([`crate::solver::SolveOptions::default`]) in force and
@@ -428,8 +429,7 @@ mod budget {
         module: &Module,
         budget: DetectBudget,
     ) -> Vec<DetectionReport> {
-        let registry = IdiomRegistry::with_default_idioms();
-        detect_with_budget(&registry, module, budget)
+        detect_with_budget(IdiomRegistry::shared_default(), module, budget)
     }
 
     /// [`detect_reductions_budgeted`] with a caller-supplied registry.

@@ -271,8 +271,14 @@ impl<'s> SearchPlan<'s> {
         for v in &mut plan.checkers {
             v.sort_by_key(|a| a.cost_rank());
         }
+        debug_assert_eq!(
+            pin,
+            spec.prefix.map_or(0, |p| p.total_labels()),
+            "spec `{}`: the stored symmetric pairs were derived for another pin",
+            spec.name
+        );
         if policy.symmetry {
-            for (lo, hi) in symmetric_pairs(spec, pin) {
+            for &(lo, hi) in spec.symmetric_pairs() {
                 let pos = plan.place[lo].max(plan.place[hi]);
                 plan.sym_checks[pos].push((lo, hi));
             }
@@ -519,7 +525,12 @@ fn priority_order(spec: &Spec, ctx: &MatchCtx<'_>, pin: usize, policy: SearchPol
 /// excluded (`from` = prefix arity): the prefix is solved standalone and
 /// must not commit to a canonical form the extension conjuncts could
 /// distinguish.
-fn symmetric_pairs(spec: &Spec, from: usize) -> Vec<(usize, usize)> {
+///
+/// Depends on the spec alone, so [`SpecBuilder::finish`] runs it once and
+/// stores the result ([`Spec::symmetric_pairs`]).
+///
+/// [`SpecBuilder::finish`]: crate::constraint::SpecBuilder::finish
+pub(crate) fn symmetric_pairs(spec: &Spec, from: usize) -> Vec<(usize, usize)> {
     let n = spec.arity();
     if n < 2 || from + 2 > n {
         return Vec::new();
@@ -1209,7 +1220,7 @@ mod tests {
                 b.atom(Atom::IsBlock(y));
                 b.finish()
             };
-            assert_eq!(symmetric_pairs(&build(), 0), vec![(0, 1)]);
+            assert_eq!(build().symmetric_pairs(), [(0, 1)]);
             let canonical = SolveOptions::default();
             let full = SolveOptions {
                 policy: SearchPolicy { priority: true, symmetry: false },
@@ -1226,6 +1237,40 @@ mod tests {
                 assert!(s[0] <= s[1], "canonical representative has ordered values");
             }
         });
+        // The same twins behind a marked prefix: the pair is derived past
+        // the prefix, and the full and the resumed solve both keep the
+        // canonical half.
+        with_ctx(LOOP_SRC, |ctx| {
+            let mut b = SpecBuilder::new("load-then-twin-blocks");
+            let load = b.label("load");
+            b.atom(Atom::Opcode { l: load, class: OpClass::Load });
+            b.mark_prefix();
+            let x = b.label("x");
+            let y = b.label("y");
+            b.atom(Atom::IsBlock(x));
+            b.atom(Atom::IsBlock(y));
+            let spec = b.finish();
+            assert_eq!(spec.symmetric_pairs(), [(1, 2)]);
+            let prefix = spec.prefix_spec().unwrap();
+            assert_eq!(prefix.symmetric_pairs(), []);
+            let full = SolveOptions {
+                policy: SearchPolicy { priority: true, symmetry: false },
+                ..SolveOptions::default()
+            };
+            let (all, _) = solve(&spec, ctx, full);
+            let (sols, _) = solve(&spec, ctx, SolveOptions::default());
+            let (pre_sols, _) = solve(prefix, ctx, SolveOptions::default());
+            let (ext, _) = solve_extend(&spec, ctx, &pre_sols, SolveOptions::default());
+            assert_eq!(pre_sols.len(), 1, "the loop test has one load");
+            let n = (all.len() as f64).sqrt().round() as usize;
+            assert!(n >= 2, "the loop test has several blocks");
+            assert_eq!(n * n, all.len(), "unrestricted solve is the full square");
+            assert_eq!(sols.len(), n * (n + 1) / 2, "canonical half kept");
+            assert_eq!(ext, sols, "the resumed solve keeps the same half");
+            for s in &sols {
+                assert!(s[1] <= s[2], "canonical representative has ordered values");
+            }
+        });
     }
 
     #[test]
@@ -1233,14 +1278,22 @@ mod tests {
         // The shipped idioms all have structurally distinct labels: the
         // canonicalization is provably a no-op on them, which is what the
         // shared/unshared byte-equality sweep in the bench suite relies on.
-        let specs = [
-            crate::spec::scalar_reduction_spec().0,
-            crate::spec::scan_spec().0,
-            crate::spec::for_loop_spec().0,
-        ];
-        for spec in specs {
+        // The pairs `finish` stored must also be what a fresh derivation
+        // at the solver's pin gives.
+        let registry = crate::spec::IdiomRegistry::with_default_idioms();
+        let for_loop = crate::spec::for_loop_spec().0;
+        let mut specs: Vec<&Spec> = registry.entries().map(|e| &e.spec).collect();
+        specs.push(&for_loop);
+        let prefixes: std::collections::BTreeMap<u64, &Spec> = specs
+            .iter()
+            .filter_map(|s| Some((s.prefix?.fingerprint, s.prefix_spec()?)))
+            .collect();
+        assert_eq!(specs.len(), 11);
+        assert_eq!(prefixes.len(), 2, "the for-loop and the early-exit prefix");
+        for spec in specs.into_iter().chain(prefixes.into_values()) {
             let pin = spec.prefix.map_or(0, |p| p.total_labels());
-            assert_eq!(symmetric_pairs(&spec, pin), Vec::new(), "{}", spec.name);
+            assert_eq!(spec.symmetric_pairs(), [], "{}", spec.name);
+            assert_eq!(spec.symmetric_pairs(), symmetric_pairs(spec, pin), "{}", spec.name);
         }
     }
 
@@ -1273,7 +1326,7 @@ mod tests {
             let plain = build(false);
             let (full, full_stats) = solve(&plain, ctx, SolveOptions::default());
             let prefix = marked.prefix_spec().unwrap();
-            let (pre_sols, pre_stats) = solve(&prefix, ctx, SolveOptions::default());
+            let (pre_sols, pre_stats) = solve(prefix, ctx, SolveOptions::default());
             assert_eq!(pre_sols.len(), 2);
             assert!(pre_stats.steps > 0, "two loads must branch the prefix");
             let (ext, ext_stats) = solve_extend(&marked, ctx, &pre_sols, SolveOptions::default());
@@ -1305,7 +1358,7 @@ mod tests {
             b.atom(Atom::OperandIs { inst: gep, index: 1, value: idx });
             let spec = b.finish();
             let prefix = spec.prefix_spec().unwrap();
-            let (pre_sols, _) = solve(&prefix, ctx, SolveOptions::default());
+            let (pre_sols, _) = solve(prefix, ctx, SolveOptions::default());
             let (cold, cold_stats) = solve_extend(&spec, ctx, &pre_sols, SolveOptions::default());
             let mut memo = GenMemo::new();
             let (first, first_stats) = solve_extend_with_memo(

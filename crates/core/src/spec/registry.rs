@@ -20,7 +20,8 @@
 //! [`IdiomRegistry::with_default_idioms`] registers the ten built-in
 //! idioms (scalar, histogram, scan, argmin/argmax, find-first,
 //! any-of/all-of, find-min-index-early, fold-until-sentinel, find-last,
-//! map-reduce-fusion);
+//! map-reduce-fusion), and [`IdiomRegistry::shared_default`] is the one
+//! process-wide instance of that registry the read-only drivers use;
 //! [`IdiomRegistry::empty`] plus
 //! [`IdiomRegistry::register`] assemble custom detector sets. The generic
 //! driver in [`crate::detect`] iterates whatever is registered — it has no
@@ -69,6 +70,7 @@ use crate::solver::{SearchPolicy, SolveOptions, SolveStats};
 use gr_ir::ValueId;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Deduplication key for one solver solution (two values suffice for all
 /// known idioms; pair them freely).
@@ -206,6 +208,16 @@ impl IdiomRegistry {
             r.register(e).expect("default idiom names are unique");
         }
         r
+    }
+
+    /// The default registry, built once per process and shared: what
+    /// every read-only caller (`detect_reductions`, the server's workers,
+    /// `greduce stats`) detects with. Use [`IdiomRegistry::with_default_idioms`]
+    /// for a registry to extend.
+    #[must_use]
+    pub fn shared_default() -> &'static IdiomRegistry {
+        static SHARED: OnceLock<IdiomRegistry> = OnceLock::new();
+        SHARED.get_or_init(IdiomRegistry::with_default_idioms)
     }
 
     /// Registers an idiom.

@@ -231,7 +231,7 @@ impl DetectionServer {
                     s.spawn(move || {
                         // First, so the shard's drop still records.
                         let _trace = trace.as_ref().map(gr_trace::SessionHandle::join);
-                        let registry = IdiomRegistry::with_default_idioms();
+                        let registry = IdiomRegistry::shared_default();
                         // This worker's PrefixCache shard: owned for the
                         // pool's lifetime, valid per function.
                         let mut shard = PrefixCache::new();
@@ -308,7 +308,7 @@ impl DetectionServer {
 /// tests pin batch output byte-identical to this.
 #[must_use]
 pub fn detect_sequential(modules: &[Module], budget: DetectBudget) -> Vec<DetectionReport> {
-    let registry = IdiomRegistry::with_default_idioms();
+    let registry = IdiomRegistry::shared_default();
     let mut out = Vec::new();
     for module in modules {
         for func in &module.functions {
